@@ -3,9 +3,16 @@
 import os
 import sys
 
-from repro.experiments.cli import main
-
 if __name__ == "__main__":
+    # One BLAS thread per process (docs/ENGINES.md, "BLAS threads"), chosen
+    # before numpy loads OpenBLAS: switching later leaves OpenBLAS's idle
+    # worker thread behind, which raised the daemon's peak RSS by about
+    # 10 MB.  As in repro.utils.blas, an exported thread variable wins.
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+    from repro.experiments.cli import main
+
     try:
         code = main()
         # Flush explicitly so a downstream pipe closing early (e.g.

@@ -73,6 +73,7 @@ from repro.experiments.cache import ExperimentContext
 from repro.experiments.runner import ExecutionBackend, _chunk, _stage_victims
 from repro.experiments.specs import ExperimentSpec, spec_from_dict
 from repro.testing import chaos
+from repro.utils.blas import pin_blas_threads
 from repro.utils.resilience import CircuitBreaker, Deadline, ResilienceConfig
 
 #: Frame header: unsigned 64-bit big-endian payload length.
@@ -595,6 +596,7 @@ def run_worker(
     loop dials again (a reconnect-failure circuit breaker bounds how long
     a dead backend is retried).  Returns a process exit status.
     """
+    pin_blas_threads()
     config = resilience or ResilienceConfig.from_env()
     if connect_retries is not None:
         config = config.replace(dial_retries=connect_retries)

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.cache import ExperimentContext, VictimCache
 from repro.experiments.specs import ExperimentSpec, spec_from_dict
+from repro.utils.blas import pin_blas_threads
 
 #: Worker-process context, created lazily on first unit (shared by every
 #: unit the worker executes, so victims are trained — or attached from
@@ -51,8 +52,9 @@ _WORKER_MANIFESTS: Tuple = ()
 
 
 def _worker_init(manifests: Tuple = ()) -> None:
-    """Pool initializer: record the shared-victim manifests for this worker."""
+    """Pool initializer: pin BLAS threads, record the shared-victim manifests."""
     global _WORKER_MANIFESTS, _WORKER_CONTEXT
+    pin_blas_threads()
     _WORKER_MANIFESTS = manifests
     _WORKER_CONTEXT = None
 
@@ -357,6 +359,7 @@ class ExperimentRunner:
 
     def run(self, spec: ExperimentSpec, save_as: Optional[str] = None) -> ExperimentResult:
         """Execute ``spec`` and (optionally) persist the result."""
+        pin_blas_threads()
         units = spec.work_units()
         outputs = self.backend.run_units(spec, units, self.context)
         payload = spec.combine(units, outputs)

@@ -46,6 +46,7 @@ from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
 from repro.experiments.store import open_store
 from repro.testing import chaos
+from repro.utils.blas import blas_threads
 from repro.utils.resilience import Deadline, ResilienceConfig, RetryPolicy
 
 PathLike = Union[str, Path]
@@ -112,9 +113,17 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = self.server.service._dispatch(request)
             except Exception as exc:  # noqa: BLE001 - reported to the client
                 response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
-            if request.get("op") == "shutdown":
+            shutdown = request.get("op") == "shutdown"
+            try:
+                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+                self.wfile.flush()
+            finally:
+                if shutdown:
+                    # Stop once the reply is on the wire (a stop begun earlier
+                    # could let the process exit before it is written), or
+                    # once writing it failed because the client has gone.
+                    threading.Thread(target=self.server.service.stop, daemon=True).start()
+            if shutdown:
                 return
 
 
@@ -208,6 +217,7 @@ class ExperimentService:
         self._executor: Optional[threading.Thread] = None
         self._wake = threading.Event()
         self._stopping = threading.Event()
+        self._stopped = threading.Event()
         self._started_at = time.time()
         #: Exponential moving average of completed-job wall-clock seconds
         #: (None until the first job finishes) — feeds ``retry_after``.
@@ -424,6 +434,7 @@ class ExperimentService:
                     "avg_job_seconds": self._avg_job_seconds,
                     "abandoned_workers": self.abandoned_workers(),
                     "registry": self.registry.stats(),
+                    "blas_threads": blas_threads(),
                 },
             }
         if op == "status":
@@ -445,7 +456,7 @@ class ExperimentService:
         if op == "registry":
             return {"ok": True, "stats": self.registry.stats()}
         if op == "shutdown":
-            threading.Thread(target=self.stop, daemon=True).start()
+            # The connection handler calls stop() after sending this reply.
             return {"ok": True, "stopping": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
@@ -491,26 +502,32 @@ class ExperimentService:
     def stop(self) -> None:
         """Stop serving, finish the in-flight job, release the registry.
 
-        Idempotent.  A job actually mid-run when the daemon dies instead
-        of stopping cleanly is requeued by the next start's queue
-        recovery.
+        Idempotent: a second caller returns once the first caller's stop
+        has finished, so a process that stops from its main thread never
+        exits while a ``shutdown`` request's stop is still running.  A job
+        actually mid-run when the daemon dies instead of stopping cleanly
+        is requeued by the next start's queue recovery.
         """
         if self._stopping.is_set():
+            self._stopped.wait()
             return
         self._stopping.set()
         self._wake.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._executor is not None:
-            self._executor.join(timeout=60)
-            self._executor = None
         try:
-            self.endpoint_path.unlink()
-        except OSError:
-            pass
-        self.registry.close()
+            if self._server is not None:
+                self._server.shutdown()
+                self._server.server_close()
+                self._server = None
+            if self._executor is not None:
+                self._executor.join(timeout=60)
+                self._executor = None
+            try:
+                self.endpoint_path.unlink()
+            except OSError:
+                pass
+            self.registry.close()
+        finally:
+            self._stopped.set()
 
 
 class ServiceClient:

@@ -154,9 +154,12 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
             f"input spatial dims ({height}x{width}) must be divisible by the pool size {kernel}"
         )
     out_h, out_w = height // kernel, width // kernel
+    needs_grad = is_grad_enabled() and x.requires_grad
     reshaped = x.data.reshape(batch, channels, out_h, kernel, out_w, kernel)
     windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(batch, channels, out_h, out_w, kernel * kernel)
     out = windows.max(axis=-1)
+    if not needs_grad:
+        return Tensor(out)
     argmax = windows.argmax(axis=-1)
 
     def backward(grad: np.ndarray) -> None:
@@ -179,8 +182,15 @@ def max_pool1d(x: Tensor, kernel: int = 2) -> Tensor:
     if length % kernel:
         raise ValueError(f"input length {length} must be divisible by the pool size {kernel}")
     out_len = length // kernel
+    needs_grad = is_grad_enabled() and x.requires_grad
+    if not needs_grad and kernel == 2:
+        # Gradient-free pairs (M11's pools): one elementwise max, no window
+        # copy, no length-2 reduction and no arg-max for a backward to read.
+        return Tensor(np.maximum(x.data[..., 0::2], x.data[..., 1::2]))
     windows = x.data.reshape(batch, channels, out_len, kernel)
     out = windows.max(axis=-1)
+    if not needs_grad:
+        return Tensor(out)
     argmax = windows.argmax(axis=-1)
 
     def backward(grad: np.ndarray) -> None:

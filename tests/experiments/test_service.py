@@ -1,7 +1,14 @@
 """ExperimentService: protocol, queue semantics, restart recovery, and the
 daemon-vs-serial bit-identity acceptance."""
 
+import contextlib
 import json
+import os
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +24,8 @@ from repro.experiments import (
     ServiceOverloadError,
     ServiceUnavailableError,
 )
+from repro.experiments import service as service_module
+from repro.utils.blas import THREAD_ENV, blas_threads
 from repro.utils.resilience import RetryPolicy
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
@@ -161,6 +170,7 @@ class TestOverloadProtection:
         assert health["active_job"] is None
         assert health["uptime_seconds"] >= 0
         assert set(health["registry"]) >= {"hits", "misses", "entries", "bytes"}
+        assert health["blas_threads"] == blas_threads()
 
     def test_client_submit_retries_until_capacity(self, tmp_path, monkeypatch):
         client = ServiceClient(host="127.0.0.1", port=1)
@@ -330,8 +340,6 @@ class TestStaleEndpoint:
             ServiceClient(queue_dir=tmp_path)
 
     def test_dead_pid_endpoint_detected_without_connecting(self, tmp_path):
-        import subprocess
-
         probe = subprocess.Popen(["sleep", "0"])
         probe.wait()  # this pid is now dead (and very unlikely to be reused)
         (tmp_path / "endpoint.json").write_text(json.dumps({
@@ -400,6 +408,33 @@ class TestSocketProtocol:
         assert not service.endpoint_path.is_file()
         service.stop()  # idempotent
 
+    def test_shutdown_stops_even_when_the_reply_cannot_be_written(self, tmp_path, monkeypatch):
+        class GoneClient:
+            closed = True
+
+            def write(self, data):
+                raise BrokenPipeError("client went away")
+
+            def close(self):
+                pass
+
+        setup = service_module._Handler.setup
+
+        def setup_without_a_reader(handler):
+            setup(handler)
+            handler.wfile = GoneClient()
+
+        monkeypatch.setattr(service_module._Handler, "setup", setup_without_a_reader)
+        service = _service(tmp_path, port=0)
+        service.start()
+        try:
+            with socket.create_connection((service.host, service.port), timeout=10) as sock:
+                sock.sendall(b'{"op": "shutdown"}\n')  # closed without reading the reply
+            assert service._stopped.wait(timeout=60)
+            assert not service.endpoint_path.is_file()
+        finally:
+            service.stop()
+
 
 @pytest.mark.slow
 class TestDaemonBitIdentity:
@@ -433,3 +468,57 @@ class TestDaemonBitIdentity:
         serial_env = json.loads(serial_store.path_for("cmp").read_text())
         assert daemon_env["payload"] == serial_env["payload"]
         assert daemon_env["spec"] == serial_env["spec"]
+
+
+@contextlib.contextmanager
+def _daemon_process(tmp_path, **env_vars):
+    """``python -m repro serve`` as a child process; yields it and a client once it serves."""
+    env = {key: value for key, value in os.environ.items() if key not in THREAD_ENV}
+    env.update(env_vars)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    queue = tmp_path / "queue"
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--queue", str(queue),
+         "--store", str(tmp_path / "store"), "--port", "0"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            assert daemon.poll() is None, "daemon exited before serving"
+            try:
+                client = ServiceClient(queue_dir=queue)
+                if client.ping()["pid"] == daemon.pid:
+                    break
+            except (ServiceUnavailableError, OSError, ValueError):
+                pass
+            assert time.monotonic() < deadline, "daemon did not start serving"
+            time.sleep(0.01)
+        yield daemon, client
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
+@pytest.mark.slow
+class TestDaemonProcess:
+    """``python -m repro serve`` in its own process."""
+
+    def test_back_to_back_serve_shutdown_cycles_never_lose_the_reply(self, tmp_path):
+        for cycle in range(20):
+            with _daemon_process(tmp_path / str(cycle)) as (daemon, client):
+                client.shutdown()  # raises ConnectionError when the reply is lost
+                assert daemon.wait(timeout=60) == 0
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS is not a bundled OpenBLAS")
+    def test_health_reports_one_blas_thread_unless_exported(self, tmp_path):
+        with _daemon_process(tmp_path / "default") as (daemon, client):
+            assert client.health()["blas_threads"] == 1
+            client.shutdown()
+            assert daemon.wait(timeout=60) == 0
+        with _daemon_process(tmp_path / "exported", OPENBLAS_NUM_THREADS="2") as (daemon, client):
+            assert client.health()["blas_threads"] == min(2, os.cpu_count() or 1)
+            client.shutdown()
+            assert daemon.wait(timeout=60) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, no_grad
 from tests.nn.test_autograd import check_gradient
 
 rng = np.random.default_rng(1)
@@ -136,3 +136,108 @@ class TestIm2Col:
         x_back = F.col2im(y, x.shape, (3, 3), stride=1, padding=1)
         rhs = float((x * x_back).sum())
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def _with_specials(shape, seed):
+    """Normal draws with most entries replaced by ±0.0, NaN, ±inf and ±1."""
+    special_rng = np.random.default_rng(seed)
+    x = special_rng.normal(size=shape)
+    mask = special_rng.random(shape) < 0.6
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+    x[mask] = special_rng.choice(specials, size=int(mask.sum()))
+    return x
+
+
+def _same_bytes(actual, expected):
+    return (
+        actual.shape == expected.shape
+        and actual.dtype == expected.dtype
+        and actual.tobytes() == expected.tobytes()
+    )
+
+
+def _windows_1d(x, kernel):
+    batch, channels, length = x.shape
+    return x.reshape(batch, channels, length // kernel, kernel)
+
+
+def _windows_2d(x, kernel):
+    batch, channels, height, width = x.shape
+    out_h, out_w = height // kernel, width // kernel
+    reshaped = x.reshape(batch, channels, out_h, kernel, out_w, kernel)
+    return reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(
+        batch, channels, out_h, out_w, kernel * kernel
+    )
+
+
+def _argmax_gradient_1d(x, kernel, grad):
+    """The arg-max scatter of the recorded max_pool1d backward."""
+    windows = _windows_1d(x, kernel)
+    argmax = windows.argmax(axis=-1)
+    grad_windows = np.zeros_like(windows)
+    index = np.indices(argmax.shape)
+    grad_windows[index[0], index[1], index[2], argmax] = grad
+    return grad_windows.reshape(x.shape)
+
+
+def _argmax_gradient_2d(x, kernel, grad):
+    """The arg-max scatter of the recorded max_pool2d backward."""
+    batch, channels, height, width = x.shape
+    windows = _windows_2d(x, kernel)
+    argmax = windows.argmax(axis=-1)
+    grad_windows = np.zeros_like(windows)
+    index = np.indices(argmax.shape)
+    grad_windows[index[0], index[1], index[2], index[3], argmax] = grad
+    return (
+        grad_windows.reshape(batch, channels, height // kernel, width // kernel, kernel, kernel)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(x.shape)
+    )
+
+
+def _gradient_free(op, x):
+    """``op`` on ``x`` both ways no backward closure is recorded."""
+    with no_grad():
+        under_no_grad = op(Tensor(x, requires_grad=True))
+    return under_no_grad, op(Tensor(x))
+
+
+class TestGradientFreeFastPaths:
+    """The no-grad pooling paths against the window reduction, byte for byte."""
+
+    # k=2 takes the elementwise fast path; k=3 the reduction without arg-max.
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_max_pool1d_matches_the_window_reduction(self, kernel, seed):
+        x = _with_specials((3, 5, 24 * kernel), seed)
+        expected = _windows_1d(x, kernel).max(axis=-1)
+        for out in _gradient_free(lambda t: F.max_pool1d(t, kernel), x):
+            assert not out.requires_grad
+            assert _same_bytes(out.data, expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_max_pool2d_matches_the_window_reduction(self, seed):
+        x = _with_specials((2, 4, 24, 24), seed)
+        expected = _windows_2d(x, 2).max(axis=-1)
+        for out in _gradient_free(lambda t: F.max_pool2d(t, 2), x):
+            assert not out.requires_grad
+            assert _same_bytes(out.data, expected)
+
+    @pytest.mark.parametrize("kernel", [2, 3])
+    def test_recorded_max_pool1d_keeps_values_and_argmax_gradient(self, kernel):
+        x = _with_specials((2, 3, 12 * kernel), 11)
+        grad = rng.normal(size=(2, 3, 12))
+        t = Tensor(x, requires_grad=True)
+        out = F.max_pool1d(t, kernel)
+        out.backward(grad)
+        assert _same_bytes(out.data, _windows_1d(x, kernel).max(axis=-1))
+        assert _same_bytes(t.grad, _argmax_gradient_1d(x, kernel, grad))
+
+    def test_recorded_max_pool2d_keeps_values_and_argmax_gradient(self):
+        x = _with_specials((2, 3, 8, 8), 12)
+        grad = rng.normal(size=(2, 3, 4, 4))
+        t = Tensor(x, requires_grad=True)
+        out = F.max_pool2d(t, 2)
+        out.backward(grad)
+        assert _same_bytes(out.data, _windows_2d(x, 2).max(axis=-1))
+        assert _same_bytes(t.grad, _argmax_gradient_2d(x, 2, grad))
