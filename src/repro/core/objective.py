@@ -60,6 +60,7 @@ from repro.nn.data import Dataset
 from repro.nn.loss import cross_entropy
 from repro.nn.module import Module
 from repro.nn.training import evaluate
+from repro.utils.codec import Codec
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -839,7 +840,7 @@ class StealthyTargeted(TargetedMisclassification):
 # Declarative objective description (experiment-spec building block)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ObjectiveConfig:
+class ObjectiveConfig(Codec):
     """Declarative description of an attack objective (JSON round-trippable).
 
     ``objective_kind`` selects a registered :class:`AttackObjective`
@@ -892,18 +893,6 @@ class ObjectiveConfig:
             eval_samples=eval_samples,
             seed=seed,
             **kwargs,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {"objective_kind": self.objective_kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ObjectiveConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            objective_kind=payload.get("objective_kind", "untargeted"),
-            params=dict(payload.get("params", {})),
         )
 
     def describe(self) -> str:

@@ -125,14 +125,14 @@ class AttackResult:
             histogram[event.bit_position] = histogram.get(event.bit_position, 0) + 1
         return histogram
 
-    def to_dict(self, include_events: bool = False) -> dict:
-        """JSON-serialisable summary (events are reduced to counts).
+    def to_dict(self) -> dict:
+        """JSON-serialisable form; inverse of :meth:`from_dict`.
 
-        With ``include_events=True`` the full event log is embedded so the
-        result round-trips losslessly through :meth:`from_dict` — the
-        representation :class:`repro.experiments.store.ResultStore` uses.
+        Carries the full event log, so the result round-trips losslessly —
+        the representation :class:`repro.experiments.store.ResultStore`
+        uses — plus the derived per-tensor and per-bit summaries.
         """
-        payload = {
+        return {
             "model_name": self.model_name,
             "mechanism": self.mechanism,
             "accuracy_before": self.accuracy_before,
@@ -148,10 +148,8 @@ class AttackResult:
             "asr_curve": list(self.asr_curve),
             "flips_per_tensor": self.flipped_bit_summary(),
             "bit_position_histogram": self.bit_position_histogram(),
+            "events": [event.to_dict() for event in self.events],
         }
-        if include_events:
-            payload["events"] = [event.to_dict() for event in self.events]
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AttackResult":

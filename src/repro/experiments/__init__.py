@@ -103,12 +103,10 @@ from repro.experiments.specs import (
 )
 from repro.experiments.store import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     IntegrityError,
     ResultStore,
     ShardedResultStore,
     open_store,
-    register_codec,
     verify_envelope,
 )
 
@@ -117,7 +115,6 @@ __all__ = [
     "MECHANISMS",
     "SCHEMA_VERSION",
     "SPEC_KINDS",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "CheckpointedBackend",
     "ChipProfileOutcome",
     "ChipProfileSpec",
@@ -168,7 +165,6 @@ __all__ = [
     "fsck_store",
     "make_backend",
     "open_store",
-    "register_codec",
     "register_spec",
     "spec_from_dict",
     "spec_hash",

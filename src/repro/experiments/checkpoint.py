@@ -41,8 +41,8 @@ _CHUNK_PREFIX = "chunk-"
 #: A flipped bit anywhere in the file (silent bit-rot, the chaos
 #: ``corrupt`` kind) breaks the digest, the chunk is dropped at load time
 #: and simply rerun — a corrupted checkpoint can never smuggle wrong
-#: values into a resumed job.  Headerless files (legacy format) are still
-#: read as bare pickles.
+#: values into a resumed job.  A file without the header is rerun the
+#: same way.
 _CHUNK_MAGIC = b"ckpt1"
 
 
@@ -115,9 +115,9 @@ class ChunkCheckpoint:
     def load(self) -> Dict[int, List[Any]]:
         """Every completed chunk on disk, as ``{chunk index: outputs}``.
 
-        Unreadable, truncated or digest-mismatched files (a torn write
-        from a crash that beat the rename, a foreign file, silent
-        bit-rot) are skipped — the resume simply reruns those chunks,
+        Unreadable, truncated, headerless or digest-mismatched files (a
+        torn write from a crash that beat the rename, a foreign file,
+        silent bit-rot) are skipped — the resume simply reruns those chunks,
         which is always correct.  A chunk stamped with a *different*
         owner than this checkpoint's is skipped the same way: it belongs
         to another job and must never be combined into this one.
@@ -129,26 +129,19 @@ class ChunkCheckpoint:
             try:
                 index = int(path.stem[len(_CHUNK_PREFIX):])
                 raw = path.read_bytes()
-                if raw.startswith(_CHUNK_MAGIC):
-                    digest = raw[len(_CHUNK_MAGIC) : len(_CHUNK_MAGIC) + 32]
-                    blob = raw[len(_CHUNK_MAGIC) + 32 :]
-                    if hashlib.sha256(blob).digest() != digest:
-                        continue  # corrupted checkpoint: rerun the chunk
-                else:
-                    blob = raw  # legacy headerless chunk file
+                digest = raw[len(_CHUNK_MAGIC) : len(_CHUNK_MAGIC) + 32]
+                blob = raw[len(_CHUNK_MAGIC) + 32 :]
+                if not raw.startswith(_CHUNK_MAGIC) or hashlib.sha256(blob).digest() != digest:
+                    continue  # headerless or corrupted checkpoint: rerun the chunk
                 payload = pickle.loads(blob)
-                if isinstance(payload, dict) and "outputs" in payload:
-                    chunk_owner = payload.get("owner")
-                    if (
-                        self.owner is not None
-                        and chunk_owner is not None
-                        and chunk_owner != self.owner
-                    ):
-                        continue  # foreign job's chunk: never resume it
-                    outputs = payload["outputs"]
-                else:
-                    outputs = payload  # legacy bare-outputs chunk file
-                completed[index] = outputs
+                chunk_owner = payload["owner"]
+                if (
+                    self.owner is not None
+                    and chunk_owner is not None
+                    and chunk_owner != self.owner
+                ):
+                    continue  # foreign job's chunk: never resume it
+                completed[index] = payload["outputs"]
             except (ValueError, OSError, pickle.UnpicklingError, EOFError):
                 continue
         return completed

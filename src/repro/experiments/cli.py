@@ -22,9 +22,8 @@ Subcommands
     Join a distributed run (or a daemon using ``--backend distributed``)
     as a TCP worker process, possibly from another host.
 ``migrate-store``
-    Move a legacy flat results directory into the sharded layout,
-    upgrading checksum-less legacy envelopes to the checksummed schema
-    on the way (idempotent; re-running is a no-op).
+    Move a flat results directory into the sharded layout, bytes
+    unchanged (idempotent; re-running is a no-op).
 ``fsck``
     Verify every stored result and queued job against its sha256
     checksum, optionally quarantining corrupt files and rebuilding
@@ -663,12 +662,10 @@ def cmd_migrate(args: argparse.Namespace) -> int:
           f"{store.directory / ShardedResultStore.SHARD_DIR}")
     for name in moved:
         print(f"  {name}")
-    # Migration upgrades checksum-less legacy envelopes to the
-    # checksummed schema; prove the result verifies before declaring
-    # success (a corrupt source file should not migrate silently).
+    # Prove the result verifies before declaring success (a corrupt
+    # source file should not migrate silently).
     report = fsck_store(store.directory)
-    print(f"verified {report.verified} checksummed result file(s)"
-          + (f", {report.legacy} legacy" if report.legacy else ""))
+    print(f"verified {report.verified} checksummed result file(s)")
     if not report.clean:
         for issue in report.issues:
             print(f"  {issue.problem}: {issue.path} ({issue.detail})", file=sys.stderr)
@@ -690,10 +687,8 @@ def cmd_fsck(args: argparse.Namespace) -> int:
             print(f"{label}: {directory} (missing; skipped)")
             continue
         report = check(directory, quarantine=args.quarantine)
-        detail = f"{report.scanned} scanned, {report.verified} verified"
-        if report.legacy:
-            detail += f", {report.legacy} legacy (no checksum)"
-        print(f"{label}: {directory} — {detail}")
+        print(f"{label}: {directory} — "
+              f"{report.scanned} scanned, {report.verified} verified")
         for issue in report.issues:
             if issue.quarantined:
                 action = "quarantined"

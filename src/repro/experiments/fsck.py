@@ -2,7 +2,7 @@
 
 ``repro fsck`` is the operator's answer to "can I trust this store?": it
 scans a result store (flat and sharded layouts), verifies every
-schema-2 envelope against its embedded sha256 digest, optionally
+envelope against its embedded sha256 digest, optionally
 **quarantines** corrupt files into a ``quarantine/`` subdirectory,
 rebuilds the shard ``_index.json`` files from the surviving envelopes,
 and re-verifies the result.  The same machinery checks a job-queue
@@ -13,10 +13,10 @@ that died without cleanup, keyed on the registry's liveness manifest
 
 Design rules:
 
-* **Zero false positives.**  Only a file whose embedded checksum fails
-  to verify (or that no longer parses at all) is ever reported or
-  quarantined; version-1 envelopes without a checksum are counted as
-  ``legacy`` and left untouched.
+* **Zero false positives.**  Only a file whose embedded checksum is
+  missing or fails to verify (or that no longer parses at all) is ever
+  reported or quarantined; JSON files that are not envelopes are left
+  untouched.
 * **Nothing is destroyed.**  Quarantine *moves* files (same filesystem,
   ``os.replace``) into ``quarantine/`` — an operator can inspect or
   restore them; nothing is unlinked except provably-orphaned shared
@@ -38,7 +38,6 @@ from repro.experiments.shared import SEGMENT_PREFIX, _SHM_DIR
 from repro.experiments.specs import spec_hash
 from repro.experiments.store import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     ShardedResultStore,
     _content_digest,
     _envelope_content,
@@ -60,8 +59,8 @@ class FsckIssue:
     """One problem fsck found: a file and why it cannot be trusted.
 
     ``problem`` is one of ``digest-mismatch`` (content no longer matches
-    the embedded sha256), ``unreadable`` (the file does not parse as an
-    envelope at all) or ``index-stale`` (a shard index entry pointing at
+    the embedded sha256, or the sha256 is missing), ``unreadable`` (the
+    file does not parse as an envelope at all) or ``index-stale`` (a shard index entry pointing at
     a missing or divergent file).  ``quarantined`` records whether the
     repair pass moved the file; ``repaired`` whether it was fixed in
     place (an ``index-stale`` entry whose shard index was rebuilt).
@@ -89,15 +88,13 @@ class FsckReport:
     """What an fsck pass scanned, verified, and flagged.
 
     ``scanned`` counts every candidate file examined, ``verified`` the
-    ones whose checksum held, ``legacy`` the version-1 files that carry
-    no checksum (nothing to verify — not corruption).  ``issues`` lists
+    ones whose checksum held.  ``issues`` lists
     every untrustworthy file; ``rebuilt_indexes`` the shard index files
     rewritten from surviving envelopes.
     """
 
     scanned: int = 0
     verified: int = 0
-    legacy: int = 0
     issues: List[FsckIssue] = field(default_factory=list)
     rebuilt_indexes: List[Path] = field(default_factory=list)
 
@@ -116,7 +113,6 @@ class FsckReport:
         return {
             "scanned": self.scanned,
             "verified": self.verified,
-            "legacy": self.legacy,
             "issues": [issue.to_dict() for issue in self.issues],
             "rebuilt_indexes": [str(path) for path in self.rebuilt_indexes],
             "clean": self.clean,
@@ -139,15 +135,15 @@ def _quarantine(path: Path, root: Path) -> Path:
 def _check_envelope_file(path: Path) -> Tuple[str, Optional[Dict[str, Any]], str]:
     """Classify one result file: ``(verdict, envelope, detail)``.
 
-    Verdict is ``ok`` / ``legacy`` / ``foreign`` / ``unreadable`` /
-    ``digest-mismatch``.  Detection is belt-and-braces for checksummed
-    envelopes: the content digest catches value corruption, and a
-    byte-exact comparison against the canonical serialisation catches
-    flips the digest cannot see (whitespace, a mangled key name) — every
-    schema-2 file is machine-written in exactly one format, so any drift
-    from it is damage, not style.  Files that are not envelopes at all
-    (no schema marker, no integrity block) are ``foreign`` and never
-    flagged — fsck must report zero false positives on clean trees.
+    Verdict is ``ok`` / ``foreign`` / ``unreadable`` / ``digest-mismatch``.
+    Detection is belt-and-braces: the content digest catches value
+    corruption, and a byte-exact comparison against the canonical
+    serialisation catches flips the digest cannot see (whitespace, a
+    mangled key name) — every envelope is machine-written in exactly one
+    format, so any drift from it is damage, not style.  Files that are
+    not envelopes at all (no schema marker, no integrity block) are
+    ``foreign`` and never flagged — fsck must report zero false positives
+    on clean trees.
     """
     try:
         raw = path.read_text()
@@ -159,16 +155,14 @@ def _check_envelope_file(path: Path) -> Tuple[str, Optional[Dict[str, Any]], str
     version = envelope.get("schema_version")
     integrity = envelope.get("integrity")
     has_integrity = isinstance(integrity, dict)
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    if version != SCHEMA_VERSION:
         if has_integrity or version is not None:
             # Envelope-like but mislabeled: a flipped bit in the schema
             # marker is corruption, not a foreign file.
             return "unreadable", None, f"bad schema version {version!r}"
         return "foreign", None, "not a result envelope"
     if not has_integrity:
-        if version >= 2:
-            return "digest-mismatch", envelope, "schema-2 envelope missing its integrity block"
-        return "legacy", envelope, "version-1 envelope (no checksum)"
+        return "digest-mismatch", envelope, "envelope missing its integrity block"
     computed = _content_digest(_envelope_content(envelope))
     stored = integrity.get("digest")
     if computed != stored:
@@ -204,23 +198,22 @@ def _rebuild_shard_index(shard_dir: Path) -> None:
         if path.name == "_index.json":
             continue
         verdict, envelope, _ = _check_envelope_file(path)
-        if verdict not in ("ok", "legacy"):
+        if verdict != "ok":
             continue
         kind = envelope.get("kind")
         spec = envelope.get("spec")
         if kind is None or spec is None:
-            # A structurally incomplete (yet parseable, checksum-less)
-            # legacy envelope: leave it on disk but unindexed rather than
+            # Checksummed yet structurally incomplete (never written by
+            # the store): leave it on disk but unindexed rather than
             # aborting the whole rebuild on a KeyError.
             continue
         stat = path.stat()
-        integrity = envelope.get("integrity")
         entries[path.stem] = {
             "kind": kind,
             "spec_hash": spec_hash(spec),
             "mtime_ns": stat.st_mtime_ns,
             "size": stat.st_size,
-            "sha256": integrity.get("digest") if isinstance(integrity, dict) else None,
+            "sha256": envelope["integrity"]["digest"],
         }
     index_path = shard_dir / "_index.json"
     tmp = index_path.with_suffix(".json.tmp")
@@ -252,9 +245,6 @@ def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
         verdict, _, detail = _check_envelope_file(path)
         if verdict == "ok":
             report.verified += 1
-            continue
-        if verdict == "legacy":
-            report.legacy += 1
             continue
         if verdict == "foreign":
             continue  # not ours: never a false positive
@@ -318,11 +308,10 @@ def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
 def fsck_queue(directory: PathLike, quarantine: bool = False) -> FsckReport:
     """Scan a job-queue directory's checksummed ``job-*.json`` files.
 
-    A job file whose embedded ``sha256`` fails to verify (or that no
-    longer parses) is reported — and moved to
+    A job file whose embedded ``sha256`` is missing or fails to verify
+    (or that no longer parses) is reported — and moved to
     ``<directory>/quarantine/`` with ``quarantine=True`` so a daemon
-    reloading the queue never resurrects corrupt job state.  Legacy files
-    without a checksum are counted, not flagged.
+    reloading the queue never resurrects corrupt job state.
     """
     root = Path(directory)
     report = FsckReport()
@@ -348,12 +337,11 @@ def fsck_queue(directory: PathLike, quarantine: bool = False) -> FsckReport:
             report.issues.append(issue)
             continue
         stored = payload.pop("sha256", None)
-        if stored is None:
-            report.legacy += 1
-            continue
         computed = _job_checksum(payload)
         detail = ""
-        if computed != stored:
+        if stored is None:
+            detail = "job record missing its sha256"
+        elif computed != stored:
             detail = f"stored {stored!r}, computed {computed!r}"
         elif raw != json.dumps({**payload, "sha256": stored}, indent=2):
             # Same belt-and-braces as result envelopes: a flip the content

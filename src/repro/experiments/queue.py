@@ -29,10 +29,9 @@ Semantics:
   :class:`QueueFullError`, the load-shedding signal the service turns
   into a ``retry-after`` response.
 * **Integrity** — every job file embeds a sha256 checksum of its content;
-  a file whose checksum no longer verifies (disk rot, injected
-  corruption) is skipped on load and recorded in
-  :attr:`JobQueue.corrupt_files` for ``repro fsck`` to report.  Legacy
-  files without a checksum are still read.
+  a file whose checksum is missing or no longer verifies (disk rot,
+  injected corruption) is skipped on load and recorded in
+  :attr:`JobQueue.corrupt_files` for ``repro fsck`` to report.
 
 The queue is thread-safe (one lock guards all state) but single-writer:
 exactly one daemon process owns a queue directory at a time.
@@ -51,6 +50,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.specs import spec_hash
 from repro.testing import chaos
+from repro.utils.codec import Codec
 
 PathLike = Union[str, Path]
 
@@ -91,7 +91,7 @@ _JOB_PREFIX = "job-"
 
 
 @dataclass
-class Job:
+class Job(Codec):
     """One queued experiment: a spec payload plus its execution state.
 
     ``job_id`` is the spec-hash content address (deduplication key),
@@ -115,41 +115,6 @@ class Job:
     error: Optional[str] = None
     priority: int = 0
     deadline: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {
-            "job_id": self.job_id,
-            "name": self.name,
-            "spec": self.spec,
-            "state": self.state,
-            "sequence": self.sequence,
-            "attempts": self.attempts,
-            "requeued": self.requeued,
-            "error": self.error,
-            "priority": self.priority,
-            "deadline": self.deadline,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Job":
-        """Rebuild a job from :meth:`to_dict` output."""
-        return cls(
-            job_id=payload["job_id"],
-            name=payload["name"],
-            spec=dict(payload["spec"]),
-            state=payload.get("state", PENDING),
-            sequence=int(payload.get("sequence", 0)),
-            attempts=int(payload.get("attempts", 0)),
-            requeued=bool(payload.get("requeued", False)),
-            error=payload.get("error"),
-            priority=int(payload.get("priority", 0)),
-            deadline=(
-                None
-                if payload.get("deadline") is None
-                else float(payload["deadline"])
-            ),
-        )
 
 
 class JobQueue:
@@ -177,13 +142,12 @@ class JobQueue:
         self._lock = threading.Lock()
         self._sequence = 0
         #: Job files skipped at load time because their embedded checksum
-        #: no longer verified — ``repro fsck`` reports these.
+        #: was missing or no longer verified — ``repro fsck`` reports these.
         self.corrupt_files: List[Path] = []
         for path in sorted(self.directory.glob(f"{_JOB_PREFIX}*.json")):
             try:
                 payload = json.loads(path.read_text())
-                stored = payload.pop("sha256", None)
-                if stored is not None and stored != _job_checksum(payload):
+                if payload.pop("sha256", None) != _job_checksum(payload):
                     self.corrupt_files.append(path)
                     continue
                 job = Job.from_dict(payload)

@@ -52,7 +52,6 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.timeline import TimelineEngine, TimelineResult
 from repro.dram.timing import DramTimings
 from repro.dram.vulnerability import CellVulnerabilityModel, VulnerabilityParameters
-from repro.faults.patterns import DataPattern
 from repro.faults.profiler import ChipProfiler, ProfilingConfig
 from repro.faults.profiles import BitFlipProfile, ProfilePair
 from repro.faults.refsync import RefsyncConfig, build_refsync_attack
@@ -66,6 +65,7 @@ from repro.faults.sweep import (
 )
 from repro.models.registry import get_spec
 from repro.nn.quantization import precision_num_bits, quantize_model
+from repro.utils.codec import Codec, decode, encode
 from repro.utils.rng import mix_seed, spawn_seeds
 from repro.utils.validation import check_engine, default_engine
 
@@ -73,87 +73,37 @@ MECHANISMS: Tuple[str, str] = ("rowhammer", "rowpress")
 
 
 # ----------------------------------------------------------------------
-# Encoding helpers for the nested configuration dataclasses
-# ----------------------------------------------------------------------
-def _encode_search(config: BitSearchConfig) -> Dict[str, Any]:
-    return {
-        "max_flips": config.max_flips,
-        "top_k_layers": config.top_k_layers,
-        "eval_batch_size": config.eval_batch_size,
-        "resample_attack_batch": config.resample_attack_batch,
-    }
-
-
-def _decode_search(payload: Mapping[str, Any]) -> BitSearchConfig:
-    return BitSearchConfig(**dict(payload))
-
-
-def _encode_geometry(geometry: DramGeometry) -> Dict[str, int]:
-    return {
-        "num_banks": geometry.num_banks,
-        "rows_per_bank": geometry.rows_per_bank,
-        "cols_per_row": geometry.cols_per_row,
-    }
-
-
-def _decode_geometry(payload: Mapping[str, Any]) -> DramGeometry:
-    return DramGeometry(**{key: int(value) for key, value in payload.items()})
-
-
-def _encode_rowhammer(config: RowHammerConfig) -> Dict[str, Any]:
-    return {
-        "bank": config.bank,
-        "victim_row": config.victim_row,
-        "hammer_count": config.hammer_count,
-        "pattern": config.pattern.value,
-        "aggressor_distance": config.aggressor_distance,
-    }
-
-
-def _decode_rowhammer(payload: Mapping[str, Any]) -> RowHammerConfig:
-    params = dict(payload)
-    params["pattern"] = DataPattern(params.get("pattern", DataPattern.VICTIM_ZEROS.value))
-    return RowHammerConfig(**params)
-
-
-def _encode_rowpress(config: RowPressConfig) -> Dict[str, Any]:
-    return {
-        "bank": config.bank,
-        "pressed_row": config.pressed_row,
-        "open_cycles": config.open_cycles,
-        "repetitions": config.repetitions,
-        "pattern": config.pattern.value,
-    }
-
-
-def _decode_rowpress(payload: Mapping[str, Any]) -> RowPressConfig:
-    params = dict(payload)
-    params["pattern"] = DataPattern(params.get("pattern", DataPattern.VICTIM_ZEROS.value))
-    return RowPressConfig(**params)
-
-
-# ----------------------------------------------------------------------
 # Base class and registry
 # ----------------------------------------------------------------------
-class ExperimentSpec:
+class ExperimentSpec(Codec):
     """Interface shared by every experiment description.
 
     Subclasses are frozen dataclasses; ``kind`` identifies the experiment
-    type in serialised payloads and on the ``python -m repro`` CLI.
+    type in serialised payloads and on the ``python -m repro`` CLI, and
+    ``payload_type`` annotates the result :meth:`combine` returns.
     """
 
     kind: ClassVar[str] = ""
     title: ClassVar[str] = ""
+    payload_type: ClassVar[Any] = None
 
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable description; inverse of :func:`spec_from_dict`."""
-        raise NotImplementedError
+        return {"kind": self.kind, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        raise NotImplementedError
+        """Rebuild a spec from :meth:`to_dict` output (missing fields take defaults)."""
+        return super().from_dict({key: value for key, value in payload.items() if key != "kind"})
+
+    def encode_payload(self, payload: Any) -> Any:
+        """JSON-native form of a :meth:`combine` result, as the result store writes it."""
+        return encode(payload)
+
+    def decode_payload(self, payload: Any) -> Any:
+        """Rebuild a :meth:`combine` result from :meth:`encode_payload` output."""
+        return decode(self.payload_type, payload)
 
     # -- execution protocol --------------------------------------------
     def work_units(self) -> List[Dict[str, Any]]:
@@ -208,10 +158,6 @@ def spec_from_dict(payload: Mapping[str, Any]) -> ExperimentSpec:
     return cls.from_dict(payload)
 
 
-def _freeze(values: Optional[Sequence]) -> Optional[tuple]:
-    return None if values is None else tuple(values)
-
-
 def canonical_spec_json(payload: Mapping[str, Any]) -> str:
     """Canonical JSON encoding of a spec payload (sorted keys, no spaces).
 
@@ -257,6 +203,7 @@ class ComparisonSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "comparison"
     title: ClassVar[str] = "Table I / Fig. 7 profile-aware attack comparison"
+    payload_type: ClassVar[Any] = List[ModelComparisonResult]
 
     model_keys: Tuple[str, ...] = ("resnet20",)
     repetitions: int = 3
@@ -280,37 +227,11 @@ class ComparisonSpec(ExperimentSpec):
         if self.engine is not None:
             check_engine(self.engine)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "model_keys": list(self.model_keys),
-            "repetitions": self.repetitions,
-            "attack_batch_size": self.attack_batch_size,
-            "eval_samples": self.eval_samples,
-            "tolerance": self.tolerance,
-            "search": _encode_search(self.search),
-            "training_epochs": self.training_epochs,
-            "seed": self.seed,
-            "profile_seed": self.profile_seed,
-            "rowhammer_budget": self.rowhammer_budget,
-            "rowpress_budget": self.rowpress_budget,
-            "objective": self.objective.to_dict(),
-            "victim_precision": self.victim_precision,
-            "engine": self.engine,
-        }
+    def encode_payload(self, payload: List[ModelComparisonResult]) -> Dict[str, Any]:
+        return {"comparisons": super().encode_payload(payload)}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ComparisonSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["model_keys"] = tuple(params.get("model_keys", ()))
-        params["search"] = _decode_search(params.get("search", {}))
-        # Pre-objective-layer payloads carry neither field; default to the
-        # paper's untargeted float32 pipeline.
-        params["objective"] = ObjectiveConfig.from_dict(params.get("objective", {}))
-        params.setdefault("victim_precision", "float32")
-        # Pre-engine-tier payloads: None defers to the process default.
-        params.setdefault("engine", None)
-        return cls(**params)
+    def decode_payload(self, payload: Mapping[str, Any]) -> List[ModelComparisonResult]:
+        return super().decode_payload(payload["comparisons"])
 
     # -- execution -----------------------------------------------------
     def comparison_config(self) -> ComparisonConfig:
@@ -428,7 +349,7 @@ class ComparisonSpec(ExperimentSpec):
 # Defense-bypass matrix (Section III)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class DefenseConfig:
+class DefenseConfig(Codec):
     """Declarative description of one mitigation mechanism instance."""
 
     defense_kind: str
@@ -443,19 +364,6 @@ class DefenseConfig:
     def build(self):
         """Instantiate the defense via the registry."""
         return build_defense(self.defense_kind, **dict(self.params))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {"defense_kind": self.defense_kind, "label": self.label, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DefenseConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            defense_kind=payload["defense_kind"],
-            label=payload.get("label"),
-            params=dict(payload.get("params", {})),
-        )
 
 
 def default_defense_roster() -> Tuple[DefenseConfig, ...]:
@@ -479,6 +387,7 @@ class DefenseMatrixSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "defense_matrix"
     title: ClassVar[str] = "Section III defense-bypass matrix"
+    payload_type: ClassVar[Any] = Dict[str, Dict[str, DefenseEvaluationResult]]
 
     geometry: DramGeometry = DramGeometry(num_banks=2, rows_per_bank=32, cols_per_row=1024)
     rh_density: float = 0.05
@@ -496,28 +405,20 @@ class DefenseMatrixSpec(ExperimentSpec):
             # drop results, so make them impossible (give labels instead).
             raise ValueError(f"duplicate defense names in spec: {sorted(names)}")
 
-    def to_dict(self) -> Dict[str, Any]:
+    def encode_payload(
+        self, payload: Dict[str, Dict[str, DefenseEvaluationResult]]
+    ) -> Dict[str, Any]:
         return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "rh_density": self.rh_density,
-            "rp_density": self.rp_density,
-            "chip_seed": self.chip_seed,
-            "defenses": [defense.to_dict() for defense in self.defenses],
-            "rowhammer": _encode_rowhammer(self.rowhammer),
-            "rowpress": _encode_rowpress(self.rowpress),
+            "matrix": {
+                name: {mechanism: result.as_dict() for mechanism, result in row.items()}
+                for name, row in payload.items()
+            }
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DefenseMatrixSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["defenses"] = tuple(
-            DefenseConfig.from_dict(entry) for entry in params.get("defenses", ())
-        )
-        params["rowhammer"] = _decode_rowhammer(params["rowhammer"])
-        params["rowpress"] = _decode_rowpress(params["rowpress"])
-        return cls(**params)
+    def decode_payload(
+        self, payload: Mapping[str, Any]
+    ) -> Dict[str, Dict[str, DefenseEvaluationResult]]:
+        return super().decode_payload(payload["matrix"])
 
     # -- execution -----------------------------------------------------
     def build_chip(self) -> DramChip:
@@ -581,6 +482,7 @@ class FlipSweepSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "flip_sweep"
     title: ClassVar[str] = "Fig. 6 flips-vs-budget sweep"
+    payload_type: ClassVar[Any] = FlipSweepOutcome
 
     geometry: DramGeometry = DramGeometry(num_banks=2, rows_per_bank=64, cols_per_row=1024)
     chip_seed: int = 3
@@ -594,23 +496,13 @@ class FlipSweepSpec(ExperimentSpec):
         object.__setattr__(self, "hammer_counts", tuple(int(h) for h in self.hammer_counts))
         object.__setattr__(self, "open_cycles", tuple(int(c) for c in self.open_cycles))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "hammer_counts": list(self.hammer_counts),
-            "open_cycles": list(self.open_cycles),
-            "max_rows_per_bank": self.max_rows_per_bank,
-        }
+    def encode_payload(self, payload: FlipSweepOutcome) -> Dict[str, Any]:
+        """The two curves plus the derived equal-time comparison."""
+        return {**super().encode_payload(payload), "equal_time": payload.equal_time()}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FlipSweepSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["hammer_counts"] = tuple(params.get("hammer_counts", ()))
-        params["open_cycles"] = tuple(params.get("open_cycles", ()))
-        return cls(**params)
+    def decode_payload(self, payload: Mapping[str, Any]) -> FlipSweepOutcome:
+        curves = {key: value for key, value in payload.items() if key != "equal_time"}
+        return super().decode_payload(curves)
 
     # -- execution -----------------------------------------------------
     def build_chip(self) -> DramChip:
@@ -656,6 +548,7 @@ class ChipProfileSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "chip_profile"
     title: ClassVar[str] = "Fig. 4 vulnerable-cell profiling campaign"
+    payload_type: ClassVar[Any] = ChipProfileOutcome
 
     geometry: DramGeometry = DramGeometry(num_banks=2, rows_per_bank=48, cols_per_row=1024)
     chip_seed: int = 9
@@ -663,21 +556,16 @@ class ChipProfileSpec(ExperimentSpec):
     open_cycles: int = 100_000_000
     row_stride: int = 2
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "hammer_count": self.hammer_count,
-            "open_cycles": self.open_cycles,
-            "row_stride": self.row_stride,
-        }
+    def encode_payload(self, payload: ChipProfileOutcome) -> Dict[str, Any]:
+        """The profile pair flattened to top level, plus its Fig. 4 statistics."""
+        encoded = super().encode_payload(payload)
+        pair = encoded.pop("pair")
+        return {**pair, "statistics": payload.pair.statistics(), **encoded}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChipProfileSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        return cls(**params)
+    def decode_payload(self, payload: Mapping[str, Any]) -> ChipProfileOutcome:
+        rest = {key: value for key, value in payload.items() if key != "statistics"}
+        pair = {mechanism: rest.pop(mechanism) for mechanism in MECHANISMS}
+        return super().decode_payload({"pair": pair, **rest})
 
     # -- execution -----------------------------------------------------
     def work_units(self) -> List[Dict[str, Any]]:
@@ -771,6 +659,7 @@ class ProfileDensitySpec(ExperimentSpec):
 
     kind: ClassVar[str] = "profile_density"
     title: ClassVar[str] = "Profile-density ablation vs unconstrained BFA"
+    payload_type: ClassVar[Any] = ProfileDensityOutcome
 
     model_key: str = "resnet20"
     densities: Tuple[float, ...] = (0.005, 0.02, 0.08)
@@ -790,31 +679,6 @@ class ProfileDensitySpec(ExperimentSpec):
         object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
         if self.engine is not None:
             check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "model_key": self.model_key,
-            "densities": list(self.densities),
-            "include_unconstrained": self.include_unconstrained,
-            "search": _encode_search(self.search),
-            "attack_batch_size": self.attack_batch_size,
-            "eval_samples": self.eval_samples,
-            "one_to_zero_probability": self.one_to_zero_probability,
-            "seed": self.seed,
-            "profile_seed": self.profile_seed,
-            "objective_seed": self.objective_seed,
-            "training_epochs": self.training_epochs,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProfileDensitySpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["densities"] = tuple(params.get("densities", ()))
-        params["search"] = _decode_search(params.get("search", {}))
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def victim_requirements(self) -> List[Tuple[str, int, Optional[int]]]:
@@ -958,6 +822,7 @@ class TrrSamplingSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "trr_sampling"
     title: ClassVar[str] = "TRR sampling-capacity sweep on the command timeline"
+    payload_type: ClassVar[Any] = TrrSamplingOutcome
 
     geometry: DramGeometry = DramGeometry(num_banks=1, rows_per_bank=64, cols_per_row=512)
     chip_seed: int = 7
@@ -983,33 +848,6 @@ class TrrSamplingSpec(ExperimentSpec):
             raise ValueError("sampler capacities must be >= 0 (0 = no sampler)")
         if self.engine is not None:
             check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "rh_density": self.rh_density,
-            "rh_onset": self.rh_onset,
-            "bank": self.bank,
-            "aggressor_rows": list(self.aggressor_rows),
-            "windows": self.windows,
-            "acts_per_window": self.acts_per_window,
-            "refresh_bins": self.refresh_bins,
-            "capacities": list(self.capacities),
-            "policy": self.policy,
-            "sampler_seed": self.sampler_seed,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TrrSamplingSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["aggressor_rows"] = tuple(params.get("aggressor_rows", ()))
-        params["capacities"] = tuple(params.get("capacities", ()))
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def work_units(self) -> List[Dict[str, Any]]:
@@ -1086,6 +924,7 @@ class RefsyncSweepSpec(ExperimentSpec):
 
     kind: ClassVar[str] = "refsync_sweep"
     title: ClassVar[str] = "Refsync act-rate/phase sweep vs TRR sampling"
+    payload_type: ClassVar[Any] = RefsyncOutcome
 
     geometry: DramGeometry = DramGeometry(num_banks=1, rows_per_bank=64, cols_per_row=512)
     chip_seed: int = 11
@@ -1114,36 +953,6 @@ class RefsyncSweepSpec(ExperimentSpec):
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
         if self.engine is not None:
             check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "rh_density": self.rh_density,
-            "rh_onset": self.rh_onset,
-            "bank": self.bank,
-            "victim_row": self.victim_row,
-            "windows": self.windows,
-            "act_rates": list(self.act_rates),
-            "phases": list(self.phases),
-            "decoy_rows": list(self.decoy_rows),
-            "capacity": self.capacity,
-            "policy": self.policy,
-            "sampler_seed": self.sampler_seed,
-            "refresh_bins": self.refresh_bins,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RefsyncSweepSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["act_rates"] = tuple(params.get("act_rates", ()))
-        params["phases"] = tuple(params.get("phases", ()))
-        params["decoy_rows"] = tuple(params.get("decoy_rows", ()))
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def refsync_config(self, act_rate: int, phase: int) -> RefsyncConfig:

@@ -13,17 +13,18 @@ benchmarks have always used.  Each file is an *envelope*::
     }
 
 so a stored result carries the full declarative description of the
-experiment that produced it.  :meth:`ResultStore.load` rebuilds the same
-in-memory result objects (:class:`ModelComparisonResult`,
+experiment that produced it.  The payload encoding belongs to the spec's
+kind (:meth:`ExperimentSpec.encode_payload` /
+:meth:`~ExperimentSpec.decode_payload`), so :meth:`ResultStore.load`
+rebuilds the same in-memory result objects (:class:`ModelComparisonResult`,
 :class:`DefenseEvaluationResult`, :class:`FlipCurve`, ...) the live run
 returned.
 
-Schema version 2 added the ``integrity`` block: a sha256 digest of the
-envelope's canonical content, verified on every load (``verify=False``
-opts out), so silent bit-rot in a stored result raises
-:class:`IntegrityError` instead of feeding corrupt numbers into reports.
-Version-1 envelopes (no digest) remain fully readable; ``repro fsck``
-and :meth:`ShardedResultStore.migrate` upgrade them.
+The ``integrity`` block is a sha256 digest of the envelope's canonical
+content, verified on every load (``verify=False`` opts out), so silent
+bit-rot in a stored result raises :class:`IntegrityError` instead of
+feeding corrupt numbers into reports.  An envelope without the block is
+damaged the same way: this build reads schema version 2 only.
 """
 
 from __future__ import annotations
@@ -33,31 +34,13 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from repro.testing import chaos
-from repro.core.comparison import MechanismOutcome, ModelComparisonResult
-from repro.core.results import AttackResult
-from repro.defenses.evaluation import DefenseEvaluationResult
-from repro.faults.profiles import BitFlipProfile, ProfilePair
-from repro.faults.sweep import FlipCurve
 from repro.experiments.runner import ExperimentResult
-from repro.dram.timeline import TimelineResult
-from repro.experiments.specs import (
-    ChipProfileOutcome,
-    FlipSweepOutcome,
-    ProfileDensityOutcome,
-    RefsyncOutcome,
-    TrrSamplingOutcome,
-    spec_from_dict,
-    spec_hash,
-)
+from repro.experiments.specs import spec_from_dict, spec_hash
 
 SCHEMA_VERSION = 2
-
-#: Envelope versions this build reads.  1 is the pre-integrity format
-#: (no checksum — accepted, unverifiable); 2 embeds the sha256 digest.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 PathLike = Union[str, Path]
 
@@ -92,13 +75,12 @@ def _envelope_content(envelope: Dict[str, Any]) -> Dict[str, Any]:
 def verify_envelope(path: Path, envelope: Dict[str, Any]) -> None:
     """Raise :class:`IntegrityError` when an envelope fails its checksum.
 
-    Version-1 envelopes carry no ``integrity`` block and pass vacuously
-    (there is nothing to verify against — that is exactly why the schema
-    was bumped).
+    An envelope without its ``integrity`` block fails too: every envelope
+    this build writes carries one, so a missing block is damage.
     """
     integrity = envelope.get("integrity")
     if not isinstance(integrity, dict):
-        return
+        raise IntegrityError(f"{path}: envelope has no integrity block")
     computed = _content_digest(_envelope_content(envelope))
     stored = integrity.get("digest")
     if computed != stored:
@@ -150,201 +132,6 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-# ----------------------------------------------------------------------
-# Per-kind payload codecs
-# ----------------------------------------------------------------------
-def _encode_outcome(outcome: MechanismOutcome) -> Dict[str, Any]:
-    return {
-        "mechanism": outcome.mechanism,
-        "results": [result.to_dict(include_events=True) for result in outcome.results],
-    }
-
-
-def _decode_outcome(payload: Dict[str, Any]) -> MechanismOutcome:
-    outcome = MechanismOutcome(payload["mechanism"])
-    outcome.results = [AttackResult.from_dict(entry) for entry in payload["results"]]
-    return outcome
-
-
-def _encode_comparison(comparisons: List[ModelComparisonResult]) -> Dict[str, Any]:
-    return {
-        "comparisons": [
-            {
-                "model_key": result.model_key,
-                "display_name": result.display_name,
-                "dataset_name": result.dataset_name,
-                "num_parameters": result.num_parameters,
-                "clean_accuracy": result.clean_accuracy,
-                "random_guess_accuracy": result.random_guess_accuracy,
-                "rowhammer": _encode_outcome(result.rowhammer),
-                "rowpress": _encode_outcome(result.rowpress),
-            }
-            for result in comparisons
-        ]
-    }
-
-
-def _decode_comparison(payload: Dict[str, Any]) -> List[ModelComparisonResult]:
-    return [
-        ModelComparisonResult(
-            model_key=entry["model_key"],
-            display_name=entry["display_name"],
-            dataset_name=entry["dataset_name"],
-            num_parameters=entry["num_parameters"],
-            clean_accuracy=entry["clean_accuracy"],
-            random_guess_accuracy=entry["random_guess_accuracy"],
-            rowhammer=_decode_outcome(entry["rowhammer"]),
-            rowpress=_decode_outcome(entry["rowpress"]),
-        )
-        for entry in payload["comparisons"]
-    ]
-
-
-def _encode_defense_matrix(matrix: Dict[str, Dict[str, DefenseEvaluationResult]]) -> Dict[str, Any]:
-    return {
-        "matrix": {
-            name: {mechanism: result.as_dict() for mechanism, result in row.items()}
-            for name, row in matrix.items()
-        }
-    }
-
-
-def _decode_defense_matrix(payload: Dict[str, Any]) -> Dict[str, Dict[str, DefenseEvaluationResult]]:
-    return {
-        name: {
-            mechanism: DefenseEvaluationResult.from_dict(entry)
-            for mechanism, entry in row.items()
-        }
-        for name, row in payload["matrix"].items()
-    }
-
-
-def _encode_flip_sweep(outcome: FlipSweepOutcome) -> Dict[str, Any]:
-    return {
-        "rowhammer": outcome.rowhammer.to_dict(),
-        "rowpress": outcome.rowpress.to_dict(),
-        "equal_time": outcome.equal_time(),
-    }
-
-
-def _decode_flip_sweep(payload: Dict[str, Any]) -> FlipSweepOutcome:
-    return FlipSweepOutcome(
-        rowhammer=FlipCurve.from_dict(payload["rowhammer"]),
-        rowpress=FlipCurve.from_dict(payload["rowpress"]),
-    )
-
-
-def _encode_chip_profile(outcome: ChipProfileOutcome) -> Dict[str, Any]:
-    return {
-        "rowhammer": outcome.pair.rowhammer.to_dict(),
-        "rowpress": outcome.pair.rowpress.to_dict(),
-        "statistics": outcome.pair.statistics(),
-        "ideal_rowhammer_cells": outcome.ideal_rowhammer_cells,
-        "ideal_rowpress_cells": outcome.ideal_rowpress_cells,
-    }
-
-
-def _decode_chip_profile(payload: Dict[str, Any]) -> ChipProfileOutcome:
-    return ChipProfileOutcome(
-        pair=ProfilePair(
-            rowhammer=BitFlipProfile.from_dict(payload["rowhammer"]),
-            rowpress=BitFlipProfile.from_dict(payload["rowpress"]),
-        ),
-        ideal_rowhammer_cells=int(payload["ideal_rowhammer_cells"]),
-        ideal_rowpress_cells=int(payload["ideal_rowpress_cells"]),
-    )
-
-
-def _encode_profile_density(outcome: ProfileDensityOutcome) -> Dict[str, Any]:
-    return {
-        "density_results": [
-            [density, result.to_dict(include_events=True)]
-            for density, result in outcome.density_results
-        ],
-        "unconstrained": (
-            outcome.unconstrained.to_dict(include_events=True)
-            if outcome.unconstrained is not None
-            else None
-        ),
-    }
-
-
-def _decode_profile_density(payload: Dict[str, Any]) -> ProfileDensityOutcome:
-    return ProfileDensityOutcome(
-        density_results=tuple(
-            (float(density), AttackResult.from_dict(entry))
-            for density, entry in payload["density_results"]
-        ),
-        unconstrained=(
-            AttackResult.from_dict(payload["unconstrained"])
-            if payload.get("unconstrained") is not None
-            else None
-        ),
-    )
-
-
-def _encode_trr_sampling(outcome: TrrSamplingOutcome) -> Dict[str, Any]:
-    return {
-        "entries": [
-            [capacity, result.to_dict()] for capacity, result in outcome.entries
-        ]
-    }
-
-
-def _decode_trr_sampling(payload: Dict[str, Any]) -> TrrSamplingOutcome:
-    return TrrSamplingOutcome(
-        entries=tuple(
-            (int(capacity), TimelineResult.from_dict(entry))
-            for capacity, entry in payload["entries"]
-        )
-    )
-
-
-def _encode_refsync(outcome: RefsyncOutcome) -> Dict[str, Any]:
-    return {
-        "act_rates": list(outcome.act_rates),
-        "phases": list(outcome.phases),
-        "flips": [list(row) for row in outcome.flips],
-        "nrr_rows": [list(row) for row in outcome.nrr_rows],
-        # nan entries (zero-activation cells) become null via _jsonify.
-        "sampled_fractions": [list(row) for row in outcome.sampled_fractions],
-    }
-
-
-def _decode_refsync(payload: Dict[str, Any]) -> RefsyncOutcome:
-    return RefsyncOutcome(
-        act_rates=tuple(int(rate) for rate in payload["act_rates"]),
-        phases=tuple(int(phase) for phase in payload["phases"]),
-        flips=tuple(tuple(int(v) for v in row) for row in payload["flips"]),
-        nrr_rows=tuple(tuple(int(v) for v in row) for row in payload["nrr_rows"]),
-        sampled_fractions=tuple(
-            # null round-trips back to nan, the in-memory undefined marker.
-            tuple(float("nan") if v is None else float(v) for v in row)
-            for row in payload["sampled_fractions"]
-        ),
-    )
-
-
-_CODECS: Dict[str, tuple] = {
-    "comparison": (_encode_comparison, _decode_comparison),
-    "defense_matrix": (_encode_defense_matrix, _decode_defense_matrix),
-    "flip_sweep": (_encode_flip_sweep, _decode_flip_sweep),
-    "chip_profile": (_encode_chip_profile, _decode_chip_profile),
-    "profile_density": (_encode_profile_density, _decode_profile_density),
-    "trr_sampling": (_encode_trr_sampling, _decode_trr_sampling),
-    "refsync_sweep": (_encode_refsync, _decode_refsync),
-}
-
-
-def register_codec(
-    kind: str,
-    encode: Callable[[Any], Dict[str, Any]],
-    decode: Callable[[Dict[str, Any]], Any],
-) -> None:
-    """Register (or replace) the payload codec for an experiment kind."""
-    _CODECS[kind] = (encode, decode)
-
-
 class ResultStore:
     """Directory of schema-versioned experiment-result JSON files.
 
@@ -354,10 +141,8 @@ class ResultStore:
     :meth:`names` / :meth:`load` loops) over a large result directory cost
     one ``stat`` per file instead of one full JSON parse.
 
-    ``verify`` controls load-time checksum verification of schema-2
-    envelopes (default on; version-1 envelopes have no checksum and are
-    always accepted).  ``repro fsck`` is the offline scan over the same
-    verification.
+    ``verify`` controls load-time checksum verification (default on).
+    ``repro fsck`` is the offline scan over the same verification.
     """
 
     def __init__(self, directory: PathLike, verify: bool = True):
@@ -403,14 +188,10 @@ class ResultStore:
 
     def _encode_envelope(self, result: ExperimentResult) -> Dict[str, Any]:
         """The on-disk envelope dict for ``result`` (spec + encoded payload)."""
-        try:
-            encode, _ = _CODECS[result.kind]
-        except KeyError as exc:
-            raise ValueError(f"no result codec registered for kind {result.kind!r}") from exc
         content = {
             "kind": result.kind,
             "spec": result.spec.to_dict(),
-            "payload": _jsonify(encode(result.payload)),
+            "payload": _jsonify(result.spec.encode_payload(result.payload)),
         }
         # Round-trip through JSON before digesting so the checksummed
         # values are exactly what a reader parses back (tuples become
@@ -426,27 +207,19 @@ class ResultStore:
     def _decode_envelope(self, path: Path, envelope: Dict[str, Any]) -> ExperimentResult:
         """Rebuild the in-memory result from a parsed envelope dict.
 
-        Verifies the embedded checksum first (when the store verifies and
-        the envelope carries one): corrupt content raises
-        :class:`IntegrityError` before any decoding can misread it.
+        Verifies the embedded checksum first (when the store verifies):
+        corrupt or checksum-less content raises :class:`IntegrityError`
+        before any decoding can misread it.
         """
         version = envelope.get("schema_version")
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
+        if version != SCHEMA_VERSION:
             raise ValueError(
-                f"{path} has schema version {version!r}; "
-                f"this build reads {SUPPORTED_SCHEMA_VERSIONS}"
+                f"{path} has schema version {version!r}; this build reads {SCHEMA_VERSION}"
             )
         if self.verify:
             verify_envelope(path, envelope)
-        kind = envelope["kind"]
-        try:
-            _, decode = _CODECS[kind]
-        except KeyError as exc:
-            raise ValueError(f"no result codec registered for kind {kind!r}") from exc
-        return ExperimentResult(
-            spec=spec_from_dict(envelope["spec"]),
-            payload=decode(envelope["payload"]),
-        )
+        spec = spec_from_dict(envelope["spec"])
+        return ExperimentResult(spec=spec, payload=spec.decode_payload(envelope["payload"]))
 
     def save(self, name: str, result: ExperimentResult) -> Path:
         """Persist ``result`` under ``name`` atomically; returns the path.
@@ -501,10 +274,7 @@ class ResultStore:
         found = []
         for path in sorted(self.directory.glob("*.json")):
             envelope = self._envelope_for(path)
-            if (
-                envelope is not None
-                and envelope.get("schema_version") in SUPPORTED_SCHEMA_VERSIONS
-            ):
+            if envelope is not None and envelope.get("schema_version") == SCHEMA_VERSION:
                 found.append(path.stem)
         return found
 
@@ -609,8 +379,8 @@ class ShardedResultStore(ResultStore):
             "spec_hash": spec_hash(envelope["spec"]),
             "mtime_ns": stat.st_mtime_ns,
             "size": stat.st_size,
-            # Mirror of the envelope's content digest (None for a legacy
-            # checksum-less envelope): fsck cross-checks index against file.
+            # Mirror of the envelope's content digest (None when a damaged
+            # envelope lost it): fsck cross-checks index against file.
             "sha256": integrity.get("digest") if isinstance(integrity, dict) else None,
         }
         tmp = index_path.with_suffix(".json.tmp")
@@ -669,15 +439,10 @@ class ShardedResultStore(ResultStore):
     def migrate(self) -> List[str]:
         """Move every legacy flat result file into the sharded layout.
 
-        Returns the migrated names.  A checksummed (schema-2) file moves
-        with ``os.replace``, bytes unchanged; a version-1 file is upgraded
-        in flight — rewritten as a schema-2 envelope with a freshly
-        computed content digest — so a migrated store is uniformly
-        verifiable.  Either way each write is atomic and the flat copy is
-        only removed once the sharded copy exists, so a half-completed
-        migration leaves every result in exactly one readable place and a
-        rerun finishes the job.  Re-running on an already-sharded store is
-        a no-op (returns ``[]``).
+        Returns the migrated names.  Each file moves with ``os.replace``,
+        bytes unchanged, so a half-completed migration leaves every result
+        in exactly one readable place and a rerun finishes the job.
+        Re-running on an already-sharded store is a no-op (returns ``[]``).
         """
         moved = []
         for name in ResultStore.names(self):
@@ -688,19 +453,7 @@ class ShardedResultStore(ResultStore):
             shard_dir = self.directory / self.SHARD_DIR / self.shard_prefix(envelope["spec"])
             shard_dir.mkdir(parents=True, exist_ok=True)
             target = shard_dir / f"{name}.json"
-            if isinstance(envelope.get("integrity"), dict):
-                os.replace(flat, target)
-            else:
-                content = _envelope_content(envelope)
-                envelope = {
-                    "schema_version": SCHEMA_VERSION,
-                    **content,
-                    "integrity": {"algo": "sha256", "digest": _content_digest(content)},
-                }
-                _atomic_write_text(
-                    target, json.dumps(envelope, indent=2, allow_nan=False)
-                )
-                flat.unlink()
+            os.replace(flat, target)
             self._index.pop(flat, None)
             self._update_shard_index(shard_dir, name, envelope, target)
             self._locations[name] = target

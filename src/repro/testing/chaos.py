@@ -66,6 +66,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.utils.codec import Codec
+
 #: Environment variable carrying a JSON plan (or ``@path`` indirection).
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
@@ -99,7 +101,7 @@ class ChaosError(OSError):
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Codec):
     """One fault: where it fires, what it does, and in which hit window.
 
     ``point`` names a fault point and may be an :mod:`fnmatch` glob
@@ -131,34 +133,9 @@ class FaultSpec:
             return False
         return self.after <= hit < self.after + self.count
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {
-            "point": self.point,
-            "kind": self.kind,
-            "after": self.after,
-            "count": self.count,
-            "delay": self.delay,
-            "message": self.message,
-            "exit_code": self.exit_code,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultSpec":
-        """Rebuild a fault from :meth:`to_dict` output."""
-        return cls(
-            point=payload["point"],
-            kind=payload["kind"],
-            after=int(payload.get("after", 1)),
-            count=int(payload.get("count", 1)),
-            delay=float(payload.get("delay", 0.0)),
-            message=payload.get("message", "injected fault"),
-            exit_code=int(payload.get("exit_code", 137)),
-        )
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Codec):
     """A seed-keyed, JSON-round-trippable set of faults.
 
     The ``seed`` names the plan (chaos matrices key their scenarios by it
@@ -173,18 +150,6 @@ class FaultPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "faults", tuple(self.faults))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {"seed": self.seed, "faults": [f.to_dict() for f in self.faults]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(
-            faults=tuple(FaultSpec.from_dict(f) for f in payload.get("faults", ())),
-            seed=int(payload.get("seed", 0)),
-        )
 
     def to_json(self) -> str:
         """The compact JSON form ``REPRO_FAULT_PLAN`` carries."""

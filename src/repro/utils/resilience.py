@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Type
 
+from repro.utils.codec import Codec
+
 
 class DeadlineExceeded(TimeoutError):
     """Raised by :meth:`Deadline.check` when the time budget is spent."""
@@ -243,7 +245,7 @@ def _env_str(env: Mapping[str, str], key: str, default: Optional[str]) -> Option
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(Codec):
     """Every failure-model knob of the experiment stack, in one place.
 
     Replaces the hardcoded timeouts that used to live inline in
@@ -365,19 +367,6 @@ class ResilienceConfig:
                 value = None
             values[key] = value
         return cls(**values)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ResilienceConfig":
-        """Rebuild a config from :meth:`to_dict` output (extras rejected)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown ResilienceConfig fields: {sorted(unknown)}")
-        return cls(**dict(payload))
 
     def replace(self, **changes: Any) -> "ResilienceConfig":
         """A copy with ``changes`` applied (config objects are immutable)."""

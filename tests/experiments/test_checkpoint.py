@@ -75,13 +75,18 @@ class TestChunkCheckpoint:
         ChunkCheckpoint(tmp_path / "job", owner="job-a").save_chunk(0, ["x"])
         assert ChunkCheckpoint(tmp_path / "job").load() == {0: ["x"]}
 
-    def test_legacy_bare_pickle_chunks_still_load(self, tmp_path):
+    def test_headerless_chunks_are_not_resumed(self, tmp_path):
+        # Pickles without the magic + sha256 header (a bare outputs list,
+        # or a well-formed owner/outputs dict) cannot be verified: rerun.
         checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
         checkpoint.directory.mkdir(parents=True)
         checkpoint.path_for(0).write_bytes(
-            pickle.dumps(["legacy"], protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps(["bare"], protocol=pickle.HIGHEST_PROTOCOL)
         )
-        assert checkpoint.load() == {0: ["legacy"]}
+        checkpoint.path_for(1).write_bytes(
+            pickle.dumps({"owner": "job-a", "outputs": ["dict"]}, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert checkpoint.load() == {}
 
     def test_injected_partial_write_never_corrupts_a_checkpoint(self, tmp_path):
         checkpoint = ChunkCheckpoint(tmp_path / "job")

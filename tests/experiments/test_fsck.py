@@ -17,6 +17,7 @@ from repro.experiments import (
     sweep_shm,
 )
 from repro.experiments.cli import main
+from repro.experiments.store import SCHEMA_VERSION, _content_digest
 
 
 def _attack_result(flips=1, mechanism="rowpress"):
@@ -60,15 +61,26 @@ class TestStoreFsck:
         store = ResultStore(tmp_path)
         for seed in range(3):
             store.save(f"r{seed}", _result(seed=seed))
-        # A legacy v1 envelope and a foreign JSON file must not be flagged.
-        envelope = json.loads(store.path_for("r0").read_text())
-        del envelope["integrity"]
-        envelope["schema_version"] = 1
-        store.path_for("r0").write_text(json.dumps(envelope, indent=2))
+        # A foreign JSON file must not be flagged.
         (tmp_path / "notes.json").write_text(json.dumps({"rows": []}))
         report = fsck_store(tmp_path)
         assert report.clean
-        assert report.verified == 2 and report.legacy == 1
+        assert report.scanned == 4 and report.verified == 3
+
+    def test_checksum_less_envelopes_are_flagged(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for name in ("stripped", "v1"):
+            store.save(name, _result())
+            envelope = json.loads(store.path_for(name).read_text())
+            del envelope["integrity"]
+            if name == "v1":
+                envelope["schema_version"] = 1
+            store.path_for(name).write_text(json.dumps(envelope, indent=2))
+        report = fsck_store(tmp_path, quarantine=True)
+        problems = {issue.path.name: issue.problem for issue in report.issues}
+        assert problems == {"stripped.json": "digest-mismatch", "v1.json": "unreadable"}
+        assert all(issue.quarantined for issue in report.issues)
+        assert fsck_store(tmp_path).clean
 
     def test_bit_flip_is_detected_and_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -144,14 +156,18 @@ class TestStoreFsck:
         assert fsck_store(tmp_path).clean
 
     def test_rebuild_survives_envelope_missing_kind_and_spec(self, tmp_path):
-        # A parseable version-1 envelope without kind/spec is classified
-        # legacy; the index rebuild must skip it, not abort on KeyError.
+        # A checksummed envelope without kind/spec verifies; the index
+        # rebuild must skip it, not abort on KeyError.
         store = ShardedResultStore(tmp_path)
         good = store.save("a", _result(seed=1))
         shard_dir = good.parent
-        (shard_dir / "odd.json").write_text(
-            json.dumps({"schema_version": 1, "payload": []})
-        )
+        content = {"payload": []}
+        odd = {
+            "schema_version": SCHEMA_VERSION,
+            **content,
+            "integrity": {"algo": "sha256", "digest": _content_digest(content)},
+        }
+        (shard_dir / "odd.json").write_text(json.dumps(odd, indent=2))
         _flip_byte(good)  # forces the shard's index to be rebuilt
         report = fsck_store(tmp_path, quarantine=True)
         assert report.rebuilt_indexes
@@ -181,7 +197,7 @@ class TestQueueFsck:
         assert fsck_queue(tmp_path).clean
         assert len(JobQueue(tmp_path)) == 0  # the corrupt job never reloads
 
-    def test_legacy_job_file_is_counted_not_flagged(self, tmp_path):
+    def test_checksum_less_job_file_is_flagged(self, tmp_path):
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(ComparisonSpec(seed=1).to_dict())
         path = tmp_path / f"job-{job.job_id}.json"
@@ -189,7 +205,8 @@ class TestQueueFsck:
         del payload["sha256"]
         path.write_text(json.dumps(payload, indent=2))
         report = fsck_queue(tmp_path)
-        assert report.clean and report.legacy == 1
+        assert [issue.problem for issue in report.issues] == ["digest-mismatch"]
+        assert "missing its sha256" in report.issues[0].detail
 
 
 class TestShmSweep:

@@ -163,7 +163,7 @@ class TestJobChecksums:
         assert [job.job_id for job in reloaded.jobs()] == [good.job_id]
         assert reloaded.corrupt_files == [path]
 
-    def test_legacy_checksum_less_file_still_loads(self, tmp_path):
+    def test_checksum_less_file_is_corrupt(self, tmp_path):
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(_payload())
         path = tmp_path / f"job-{job.job_id}.json"
@@ -171,8 +171,8 @@ class TestJobChecksums:
         del payload["sha256"]
         path.write_text(json.dumps(payload, indent=2))
         reloaded = JobQueue(tmp_path)
-        assert [j.job_id for j in reloaded.jobs()] == [job.job_id]
-        assert reloaded.corrupt_files == []
+        assert reloaded.jobs() == []
+        assert reloaded.corrupt_files == [path]
 
 
 class TestClaimAndLifecycle:

@@ -60,6 +60,22 @@ class TestOfflineExecution:
         assert not response["ok"]
         assert len(service.queue) == 0
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "flip_sweep", "geometry": "x"}, "geometry"),
+            ({"kind": "comparison", "objective": "x"}, "objective"),
+            ({"kind": "comparison", "bogus": 1}, "bogus"),
+            ({"kind": "defense_matrix", "rowhammer": {"pattern": "nope"}}, "pattern"),
+        ],
+        ids=["geometry-not-object", "objective-not-object", "unknown-key", "bad-pattern"],
+    )
+    def test_malformed_field_answers_invalid_spec(self, tmp_path, spec, field):
+        response = _service(tmp_path)._dispatch({"op": "submit", "spec": spec})
+        assert not response["ok"]
+        assert response["error"].startswith("invalid spec: ")
+        assert field in response["error"]
+
     def test_failing_job_is_isolated(self, tmp_path, monkeypatch):
         service = _service(tmp_path)
         service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})

@@ -5,14 +5,12 @@ import json
 from repro.core.comparison import MechanismOutcome, ModelComparisonResult
 from repro.core.results import AttackEvent, AttackResult
 from repro.experiments import (
-    SCHEMA_VERSION,
     ComparisonSpec,
     ExperimentResult,
     ResultStore,
     ShardedResultStore,
     open_store,
     spec_hash,
-    verify_envelope,
 )
 from repro.experiments.cli import main
 
@@ -134,25 +132,6 @@ class TestLegacyMigration:
         # open_store now auto-detects the sharded layout.
         assert isinstance(open_store(tmp_path), ShardedResultStore)
         assert open_store(tmp_path).load("a").spec.seed == 1
-
-    def test_migrate_upgrades_checksum_less_legacy_files(self, tmp_path):
-        # Regression: migrating a v1 (pre-checksum) flat store must
-        # compute digests on the way, not move unverifiable files around.
-        flat = ResultStore(tmp_path)
-        flat.save("old", _result(seed=4))
-        path = tmp_path / "old.json"
-        envelope = json.loads(path.read_text())
-        del envelope["integrity"]
-        envelope["schema_version"] = 1
-        path.write_text(json.dumps(envelope, indent=2))
-        store = ShardedResultStore(tmp_path)
-        assert store.migrate() == ["old"]
-        migrated = json.loads(store.path_for("old").read_text())
-        assert migrated["schema_version"] == SCHEMA_VERSION
-        assert migrated["integrity"]["algo"] == "sha256"
-        verify_envelope(store.path_for("old"), migrated)  # does not raise
-        assert store.load("old").payload == _comparison_payload()
-        assert store.migrate() == []  # still idempotent
 
     def test_shard_index_records_content_digest(self, tmp_path):
         store = ShardedResultStore(tmp_path)

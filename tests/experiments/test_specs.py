@@ -27,13 +27,7 @@ def _round_trip(spec):
     return spec_from_dict(payload)
 
 
-ALL_DEFAULT_SPECS = [
-    ComparisonSpec(),
-    DefenseMatrixSpec(),
-    FlipSweepSpec(),
-    ChipProfileSpec(),
-    ProfileDensitySpec(),
-]
+ALL_DEFAULT_SPECS = [spec_class() for spec_class in SPEC_KINDS.values()]
 
 
 class TestRoundTrip:
