@@ -5,7 +5,7 @@ Each case builds one shared workload and exposes a ``reference`` and a
 retained engine implementations; the model-forward-bound cases additionally
 expose a ``compiled`` callable running the vectorized algorithm with the
 :mod:`repro.nn.kernels` registry active (``run_perf.py`` only times it when
-a kernel backend is actually available, with JIT/compile warmup excluded).
+a kernel backend is actually available, with compile warmup excluded).
 The golden-equivalence tests under ``tests/`` prove the engines produce
 bit-identical outputs; this module only measures them.
 
@@ -434,27 +434,25 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
 
     def sequential():
         losses = []
-        for _ in range(rounds):
-            losses = []
-            for proposal in shortlist:
-                attack._apply(proposal)
-                losses.append(
-                    objective.attack_loss(
-                        model, flip_stage=attack._stage_of_tensor[proposal.tensor_name]
+        with kernels.use("vectorized"):
+            for _ in range(rounds):
+                losses = []
+                for proposal in shortlist:
+                    attack._apply(proposal)
+                    losses.append(
+                        objective.attack_loss(
+                            model, flip_stage=attack._stage_of_tensor[proposal.tensor_name]
+                        )
                     )
-                )
-                attack._revert(proposal)
+                    attack._revert(proposal)
         return losses
 
-    def batched():
+    def batched(engine: str = "vectorized"):
         losses = []
-        for _ in range(rounds):
-            losses = attack._score_shortlist(objective, shortlist)
+        with kernels.use(engine):
+            for _ in range(rounds):
+                losses = attack._score_shortlist(objective, shortlist)
         return losses
-
-    def batched_compiled():
-        with kernels.use("compiled"):
-            return batched()
 
     return PerfCase(
         name="trial_scoring_batched",
@@ -465,7 +463,7 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
         ),
         reference=sequential,
         vectorized=batched,
-        compiled=batched_compiled,
+        compiled=lambda: batched("compiled"),
     )
 
 

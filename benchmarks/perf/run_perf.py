@@ -11,7 +11,7 @@ workload (best wall-clock of ``--repeats`` runs) and records the speedup.
 Cases that expose a ``compiled`` callable are additionally measured with
 the kernel registry active — but only when a backend actually loaded
 (otherwise the compiled tier would silently time the vectorized fallback),
-and only after :func:`repro.nn.kernels.warmup` so one-time JIT/compile cost
+and only after :func:`repro.nn.kernels.warmup` so one-time compile cost
 never pollutes a measurement.  The output is schema-versioned so future PRs
 can extend it without breaking the CI regression gate
 (``check_regression.py``).
@@ -77,7 +77,7 @@ def main() -> None:
 
     with_compiled = not args.no_compiled and kernels.available()
     if with_compiled:
-        # Pay all JIT/compile + self-validation cost up front, outside the
+        # Pay all compile + self-validation cost up front, outside the
         # timed region.
         kernels.warmup()
         print(f"compiled tier: kernel backend {kernels.backend_name()!r} (warmed up)")

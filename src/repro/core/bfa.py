@@ -27,7 +27,6 @@ direction.  The restriction is expressed by :class:`CandidateSet`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -166,11 +165,12 @@ class BitFlipAttack:
       operations).
     * ``"compiled"`` — the vectorized algorithms with the registry's
       compiled kernels (:mod:`repro.nn.kernels`) active for the duration
-      of :meth:`run`: JIT/C conv forwards, fused inference batch-norm and
+      of :meth:`run`: C conv forwards, fused inference batch-norm and
       compiled delta-table construction.  Every kernel reproduces the
       reference bit for bit, so results are identical to both other
-      engines; when no backend is available (no numba, no C compiler) the
-      attack warns once and runs as plain vectorized.
+      engines; when no backend is available (no C compiler) the attack
+      runs as plain vectorized, warning once if ``"compiled"`` was
+      requested explicitly.
 
     The engine selector also picks the *evaluation* path.  With
     ``"vectorized"``/``"compiled"`` and a stage-decomposable model,
@@ -181,8 +181,8 @@ class BitFlipAttack:
     way.
 
     ``engine=None`` resolves to the process default
-    (:func:`repro.utils.validation.default_engine`), which honours the
-    ``REPRO_DEFAULT_ENGINE`` environment variable.
+    (:func:`repro.utils.validation.default_engine`): ``"compiled"`` unless
+    the ``REPRO_DEFAULT_ENGINE`` environment variable names another tier.
     """
 
     def __init__(
@@ -195,6 +195,12 @@ class BitFlipAttack:
         mechanism: str = "unconstrained",
         engine: Optional[str] = None,
     ):
+        #: Whether :meth:`run` activates the compiled kernel tier.  Decided
+        #: once at construction: an explicit ``"compiled"`` without a backend
+        #: warns (a single RuntimeWarning process-wide), the built-in default
+        #: falls back silently; either way the attack runs the plain
+        #: vectorized path with bit-identical output.
+        self._kernels_active = kernels.enabled_for(engine)
         engine = default_engine() if engine is None else engine
         check_engine(engine)
         self.model = model
@@ -229,13 +235,6 @@ class BitFlipAttack:
         #: stage and trial flips are evaluated through the engine's
         #: non-destructive peek path.  The reference engine keeps the
         #: retained full-forward evaluation exactly as before.
-        #: Whether :meth:`run` activates the compiled kernel tier.  Decided
-        #: once at construction: requesting ``"compiled"`` without a
-        #: backend warns (a single RuntimeWarning process-wide) and leaves
-        #: the attack on the plain vectorized path — bit-identical output.
-        self._kernels_active = (
-            engine == "compiled" and kernels.ensure_available(warn=True)
-        )
         self._evaluator: Optional[SuffixEvaluator] = None
         self._stage_of_tensor: Dict[str, int] = {}
         if engine != "reference":
@@ -445,18 +444,18 @@ class BitFlipAttack:
     # Main loop
     # ------------------------------------------------------------------
     def kernel_scope(self):
-        """Context manager activating this attack's kernel tier.
+        """Context manager pinning this attack's kernel tier.
 
         ``engine="compiled"`` (with a backend available) activates the
         registry's compiled kernels for the scope; the other engines — and
-        the unavailable-backend fallback — yield a no-op context.
-        :meth:`run` enters this automatically; callers driving internal
-        stages directly (the perf harness times ``_score_shortlist``
-        standalone) wrap them in it to measure the same tier ``run`` uses.
+        the unavailable-backend fallback — pin the reference kernels, so a
+        vectorized or reference attack never dispatches compiled kernels
+        under the compiled process default.  :meth:`run` enters this
+        automatically; callers driving internal stages directly (the perf
+        harness times ``_score_shortlist`` standalone) wrap them in it to
+        measure the same tier ``run`` uses.
         """
-        if self._kernels_active:
-            return kernels.use("compiled")
-        return nullcontext()
+        return kernels.use("compiled" if self._kernels_active else "vectorized")
 
     def run(self) -> AttackResult:
         """Execute the attack until the objective is met or budgets run out.

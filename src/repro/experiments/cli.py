@@ -288,9 +288,10 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         choices=sorted(ENGINES),
-        help="bit-search engine tier (default: REPRO_DEFAULT_ENGINE or vectorized); "
-             "'compiled' uses the JIT kernel registry and falls back to "
-             "vectorized when no toolchain is available",
+        help="bit-search engine tier (default: REPRO_DEFAULT_ENGINE or compiled); "
+             "'compiled' runs the C kernel registry and falls back to "
+             "vectorized when no C compiler is available (warning only when "
+             "requested explicitly); 'vectorized' pins the NumPy tier",
     )
 
 

@@ -45,9 +45,11 @@ from repro.experiments.registry import VictimRegistry
 from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
 from repro.experiments.store import open_store
+from repro.nn import kernels
 from repro.testing import chaos
 from repro.utils.blas import blas_threads
 from repro.utils.resilience import Deadline, ResilienceConfig, RetryPolicy
+from repro.utils.validation import default_engine
 
 PathLike = Union[str, Path]
 
@@ -435,6 +437,9 @@ class ExperimentService:
                     "abandoned_workers": self.abandoned_workers(),
                     "registry": self.registry.stats(),
                     "blas_threads": blas_threads(),
+                    "engine": default_engine(),
+                    # None until the first NN op has probed the registry.
+                    "kernel_backend": kernels.backend_name(probe=False),
                 },
             }
         if op == "status":

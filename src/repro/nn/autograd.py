@@ -384,19 +384,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def pad(self, pad_width: Sequence[Tuple[int, int]]) -> "Tensor":
-        """Zero-pad the tensor; ``pad_width`` follows ``numpy.pad`` semantics."""
-        pad_width = tuple(tuple(p) for p in pad_width)
-        data = np.pad(self.data, pad_width)
-        slices = tuple(
-            slice(before, before + dim) for (before, _), dim in zip(pad_width, self.shape)
-        )
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[slices])
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
@@ -429,7 +416,7 @@ class Tensor:
             # Same multiply-by-mask arithmetic (bool upcasts to 0.0/1.0,
             # preserving signed zeros exactly), minus the float mask
             # materialisation and graph bookkeeping.  With the compiled
-            # tier active the mask multiply runs as a single C/JIT pass.
+            # tier active the mask multiply runs as a single C pass.
             impl = kernels.active("relu")
             if impl is not None:
                 return Tensor(impl(self.data))

@@ -6,8 +6,8 @@ everything else (normalisation, attention, losses) is composed from the
 :class:`~repro.nn.autograd.Tensor` primitives inside the layer classes.
 
 The convolution primitives dispatch through the kernel registry
-(:mod:`repro.nn.kernels`): with the compiled tier active they run the
-Numba/C backend kernels, otherwise the NumPy reference implementations —
+(:mod:`repro.nn.kernels`): with the compiled tier active (the default) they
+run the C backend kernels, otherwise the NumPy reference implementations —
 which are bit-identical by the golden contract, so the dispatch point is
 invisible to every caller.
 """
@@ -20,13 +20,14 @@ import numpy as np
 
 from repro.nn import kernels
 from repro.nn.autograd import Tensor, is_grad_enabled
+from repro.nn.kernels.reference import Padding
 from repro.nn.kernels.reference import conv2d_output_size as _conv2d_output_size
 
 
 # ----------------------------------------------------------------------
 # im2col / col2im helpers (2-D)
 # ----------------------------------------------------------------------
-def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int) -> np.ndarray:
+def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: Padding) -> np.ndarray:
     """Rearrange image patches into columns.
 
     Parameters
@@ -46,7 +47,7 @@ def col2im(
     input_shape: Tuple[int, int, int, int],
     kernel: Tuple[int, int],
     stride: int,
-    padding: int,
+    padding: Padding,
 ) -> np.ndarray:
     """Scatter-add columns back into image space (adjoint of :func:`im2col`)."""
     return kernels.col2im(cols, input_shape, kernel, stride, padding)
@@ -57,9 +58,13 @@ def conv2d(
     weight: Tensor,
     bias: Optional[Tensor] = None,
     stride: int = 1,
-    padding: int = 0,
+    padding: Padding = 0,
 ) -> Tensor:
-    """2-D convolution over ``(N, C, H, W)`` inputs."""
+    """2-D convolution over ``(N, C, H, W)`` inputs.
+
+    ``padding`` is an int or a ``(pad_h, pad_w)`` pair of zero rows/columns
+    added on each side; the kernels fuse it into the column gather.
+    """
     batch, in_channels, height, width = x.shape
     out_channels, weight_in_channels, kh, kw = weight.shape
     if weight_in_channels != in_channels:
@@ -132,10 +137,7 @@ def conv1d(
         (weight,),
         lambda grad: weight._accumulate(grad.reshape(weight.shape)),
     ) if weight.requires_grad else Tensor(weight.data.reshape(out_channels, channels, 1, kernel))
-    out = conv2d(x4, w4, bias=bias, stride=stride, padding=0) if padding == 0 else None
-    if padding > 0:
-        padded = x4.pad(((0, 0), (0, 0), (0, 0), (padding, padding)))
-        out = conv2d(padded, w4, bias=bias, stride=stride, padding=0)
+    out = conv2d(x4, w4, bias=bias, stride=stride, padding=(0, padding))
     batch_out, out_c, _, out_len = out.shape
     return out.reshape(batch_out, out_c, out_len)
 

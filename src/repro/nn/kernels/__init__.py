@@ -4,27 +4,30 @@ The op stack (:mod:`repro.nn.functional`, the batch-norm layers,
 :mod:`repro.nn.bitops`) routes its hot primitives through this registry.
 Three tiers exist per kernel:
 
-- a **compiled backend** implementation (Numba JIT when ``numba`` imports,
-  else a C shared library built with the system compiler — see
-  :mod:`repro.nn.kernels.numba_backend` / :mod:`repro.nn.kernels.cc`),
+- a **compiled backend** implementation: a C shared library built once
+  with the system compiler (:mod:`repro.nn.kernels.cc`),
 - the **reference** NumPy implementation in
   :mod:`repro.nn.kernels.reference`, which is also the vectorized tier's
   code path, and
 - nothing at all: a kernel a backend fails to provide silently falls back
   to the reference implementation, per kernel.
 
-Compiled kernels only run while the compiled tier is *active*: inside a
-``kernels.use("compiled")`` context (entered by
-:class:`repro.core.bfa.BitFlipAttack` when built with
-``engine="compiled"``), or process-wide when ``REPRO_DEFAULT_ENGINE`` is
-``compiled``.  Activation is thread-local, so a thread-pool worker running
-a compiled attack never switches kernels under a concurrent vectorized
-one.
+The compiled tier is the process default: it is active process-wide once
+the backend has loaded and passed :func:`warmup`, unless
+``REPRO_DEFAULT_ENGINE`` names another tier.  The backend is probed
+lazily, on the first op that dispatches through this registry — never at
+import, so runs without a neural network never build or load it.  A
+``kernels.use(engine)`` scope (entered by
+:class:`repro.core.bfa.BitFlipAttack` for its own engine) overrides the
+default for the current thread; activation is thread-local, so a
+thread-pool worker running a vectorized attack never switches kernels
+under a concurrent compiled one.
 
 Every backend kernel must reproduce the reference bit for bit (the golden
 contract of docs/ENGINES.md); :func:`warmup` self-checks each kernel on
-small inputs and drops any that disagrees.  Requesting the compiled tier
-with no backend available warns once and falls back — never an error.
+small inputs and drops any that disagrees.  With no backend, the default
+falls back to the reference kernels silently; an explicit request for
+``compiled`` warns once — never an error.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.nn.kernels import reference
+from repro.utils.validation import DEFAULT_ENGINE_ENV, default_engine
 
 #: Names every backend may implement (reference implements them all).
 KERNEL_NAMES: Tuple[str, ...] = tuple(reference.KERNELS)
 
 #: Probe order when ``REPRO_KERNEL_BACKEND`` does not force a backend.
-BACKEND_ORDER: Tuple[str, ...] = ("numba", "cc")
+BACKEND_ORDER: Tuple[str, ...] = ("cc",)
 
 _lock = threading.RLock()
 _state: Dict[str, object] = {
@@ -57,10 +61,6 @@ _state: Dict[str, object] = {
 
 
 def _load_backend(name: str) -> Optional[Dict[str, Callable]]:
-    if name == "numba":
-        from repro.nn.kernels import numba_backend
-
-        return numba_backend.load()
     if name == "cc":
         from repro.nn.kernels import cc
 
@@ -92,14 +92,19 @@ def _probe() -> None:
 
 
 def available() -> bool:
-    """Whether any compiled backend loaded (numba or the C library)."""
+    """Whether the compiled backend (the C library) loaded."""
     _probe()
     return bool(_state["kernels"])
 
 
-def backend_name() -> Optional[str]:
-    """Name of the loaded backend (``"numba"`` / ``"cc"``), or ``None``."""
-    _probe()
+def backend_name(probe: bool = True) -> Optional[str]:
+    """Name of the loaded backend (``"cc"``), or ``None``.
+
+    ``probe=False`` reports without loading anything: ``None`` until some
+    op (or caller) has probed the registry.
+    """
+    if probe:
+        _probe()
     return _state["name"]
 
 
@@ -126,8 +131,9 @@ def ensure_available(warn: bool = False) -> bool:
         _state["warned"] = True
         warnings.warn(
             "engine='compiled' requested but no kernel backend is available "
-            "(numba not importable and no C compiler found); falling back to "
-            "the vectorized engine — results are bit-identical, just slower",
+            "(no C compiler found, or the library failed to build); falling "
+            "back to the vectorized engine — results are bit-identical, just "
+            "slower",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -145,10 +151,23 @@ class _Activation(threading.local):
 _ACTIVE = _Activation()
 
 
+def enabled_for(engine: Optional[str]) -> bool:
+    """Whether ``engine`` (``None``: the process default) runs compiled kernels.
+
+    Probes and warms the backend when the answer depends on it.  An
+    explicit ``"compiled"`` — the argument, or ``REPRO_DEFAULT_ENGINE`` when
+    ``engine`` is ``None`` — warns once when no backend is available; the
+    built-in default falls back to the reference kernels silently.
+    """
+    explicit = engine is not None or bool(os.environ.get(DEFAULT_ENGINE_ENV, "").strip())
+    if engine is None:
+        engine = default_engine()
+    return engine == "compiled" and ensure_available(warn=explicit)
+
+
 def _default_enabled() -> bool:
     if _state["default"] is None:
-        engine = os.environ.get("REPRO_DEFAULT_ENGINE", "").strip().lower()
-        _state["default"] = engine == "compiled" and ensure_available(warn=True)
+        _state["default"] = enabled_for(None)
     return bool(_state["default"])
 
 
@@ -167,9 +186,9 @@ def use(engine: Optional[str]) -> Iterator[bool]:
     ``use("compiled")`` enables the backend kernels for the current thread
     — warning once and staying on the reference tier when no backend is
     available.  Any other value (``"vectorized"``, ``"reference"``,
-    ``None``) pins the reference tier, overriding a process-wide
-    ``REPRO_DEFAULT_ENGINE=compiled`` for the scope.  Yields whether the
-    compiled tier is actually active.
+    ``None``) pins the reference tier, overriding the compiled process
+    default for the scope.  Yields whether the compiled tier is actually
+    active.
     """
     enabled = engine == "compiled" and ensure_available(warn=True)
     _ACTIVE.stack.append(enabled)
@@ -191,13 +210,13 @@ def active(name: str) -> Optional[Callable]:
 # Warmup and self-validation
 # ----------------------------------------------------------------------
 def warmup() -> Tuple[str, ...]:
-    """Compile/JIT every backend kernel once and self-check bit-identity.
+    """Build every backend kernel once and self-check bit-identity.
 
     Runs each backend kernel on small inputs (several stride/padding
     variants) and compares against the reference implementation with exact
     equality; a kernel that disagrees is dropped from the backend so its
     call sites fall back to reference.  Idempotent — perf harnesses call
-    this before timing so JIT/compile cost never lands in a timed region.
+    this before timing so compile cost never lands in a timed region.
 
     Returns the names of the validated backend kernels.
     """
@@ -208,10 +227,20 @@ def warmup() -> Tuple[str, ...]:
             return tuple(sorted(kernels))
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2, 9, 9))
-        weight_matrix = rng.standard_normal((4, 2 * 3 * 3))
-        bias = rng.standard_normal(4)
-        variants = [(1, 0), (1, 1), (2, 1), (3, 2)]
         values = rng.integers(-128, 128, size=37).astype(np.int64)
+        # (input, filters, kernel, stride, padding).  Besides the common
+        # stride/padding variants: np.matmul calls gemv instead of dgemm
+        # for one filter or a 1x1 output plane, and a backend must follow.
+        conv_cases = [
+            (x, 4, (3, 3), 1, 0),
+            (x, 4, (3, 3), 1, 1),
+            (x, 4, (3, 3), 2, 1),
+            (x, 4, (3, 3), 3, 2),
+            (x, 4, (1, 3), 1, (0, 2)),
+            (x, 1, (3, 3), 1, 1),
+            (x[:, :, :3, :3], 4, (3, 3), 1, 0),
+            (x[:, :, :2, :2], 4, (1, 1), 2, 0),
+        ]
 
         def check(name: str, run: Callable[[Callable], object]) -> None:
             impl = kernels.get(name)
@@ -233,19 +262,23 @@ def warmup() -> Tuple[str, ...]:
             if not identical:
                 kernels.pop(name, None)
 
-        for stride, padding in variants:
-            out_h, out_w = reference.conv2d_output_size(9, 9, (3, 3), stride, padding)
-            cols = rng.standard_normal((3, 2 * 3 * 3, out_h * out_w))
-            check("im2col", lambda k: k(x, (3, 3), stride, padding))
-            check("col2im", lambda k: k(cols, x.shape, (3, 3), stride, padding))
-            check(
-                "conv2d_forward",
-                lambda k: k(x, weight_matrix, bias, (3, 3), stride, padding)[0],
+        for inp, filters, kernel, stride, padding in conv_cases:
+            inp = np.ascontiguousarray(inp)
+            batch, channels, height, width = inp.shape
+            out_h, out_w = reference.conv2d_output_size(
+                height, width, kernel, stride, padding
             )
-        check(
-            "conv2d_forward",
-            lambda k: k(x, weight_matrix, None, (3, 3), 1, 1)[0],
-        )
+            taps = channels * kernel[0] * kernel[1]
+            cols = rng.standard_normal((batch, taps, out_h * out_w))
+            weight_matrix = rng.standard_normal((filters, taps))
+            bias = rng.standard_normal(filters)
+            check("im2col", lambda k: k(inp, kernel, stride, padding))
+            check("col2im", lambda k: k(cols, inp.shape, kernel, stride, padding))
+            for with_bias in (bias, None):
+                check(
+                    "conv2d_forward",
+                    lambda k: k(inp, weight_matrix, with_bias, kernel, stride, padding)[0],
+                )
         scale = rng.standard_normal(2)
         shift = rng.standard_normal(2)
         check("bn_fold", lambda k: k(x, scale, shift))

@@ -1,10 +1,10 @@
 """C-compiled kernel backend: a tiny shared library built with the system cc.
 
-This backend makes ``engine="compiled"`` real on boxes without Numba but
-with any C compiler on ``PATH`` (the common case for CI runners and dev
-machines).  The embedded C source below is compiled once into a cache
-directory keyed by the source hash and loaded through :mod:`ctypes`; a
-failed probe (no compiler, compile error, load error) makes :func:`load`
+This backend makes ``engine="compiled"`` — the process default — real on
+any machine with a C compiler on ``PATH`` (the common case for CI runners
+and dev machines).  The embedded C source below is compiled once into a
+cache directory keyed by the source hash and loaded through :mod:`ctypes`;
+a failed probe (no compiler, compile error, load error) makes :func:`load`
 return ``None`` and the registry falls back to the NumPy reference tier.
 
 Bit-identity notes:
@@ -18,7 +18,10 @@ Bit-identity notes:
   bundled OpenBLAS exports and calls it once per sample — the identical
   per-sample GEMM sequence ``np.matmul(W, cols)`` performs.  When the
   symbol cannot be resolved the C path still builds the columns and the
-  Python wrapper finishes with ``np.matmul``.
+  Python wrapper finishes with ``np.matmul``.  The wrapper also finishes
+  with ``np.matmul`` for one filter or a 1x1 output plane: with a
+  single-row or single-column operand ``np.matmul`` calls ``gemv``, not
+  ``dgemm``, and the two round differently.
 - ``col2im`` accumulates taps in the same ``(i, j)`` row-major order as
   the reference loop, and integer kernels are exact by construction.
 """
@@ -115,17 +118,19 @@ REPRO_DEF_IM2COL_K3P1(im2col_k3p1_8, 8, 8)
 REPRO_DEF_IM2COL_K3P1(im2col_k3p1_16, 16, 16)
 REPRO_DEF_IM2COL_K3P1(im2col_k3p1_32, 32, 32)
 
-/* One sample of im2col with fused zero padding: x (C,H,W) -> cols (C*kh*kw, oh*ow). */
+/* One sample of im2col with fused zero padding (pad_h rows above and below,
+ * pad_w columns left and right): x (C,H,W) -> cols (C*kh*kw, oh*ow). */
 static void im2col_sample(const double *x, double *cols,
                           int64_t c, int64_t h, int64_t w,
-                          int64_t kh, int64_t kw, int64_t stride, int64_t pad,
+                          int64_t kh, int64_t kw, int64_t stride,
+                          int64_t pad_h, int64_t pad_w,
                           int64_t oh, int64_t ow)
 {
     const int64_t plane = h * w;
     const int64_t ncols = oh * ow;
-    const int64_t wp = w + 2 * pad;
-    const int64_t hp = h + 2 * pad;
-    if (kh == 3 && kw == 3 && stride == 1 && pad == 1 && h == w) {
+    const int64_t wp = w + 2 * pad_w;
+    const int64_t hp = h + 2 * pad_h;
+    if (kh == 3 && kw == 3 && stride == 1 && pad_h == 1 && pad_w == 1 && h == w) {
         switch (h) {
         case 2:  im2col_k3p1_2(x, cols, c);  return;
         case 4:  im2col_k3p1_4(x, cols, c);  return;
@@ -134,7 +139,7 @@ static void im2col_sample(const double *x, double *cols,
         case 32: im2col_k3p1_32(x, cols, c); return;
         }
     }
-    if (pad > 0 && hp * wp <= REPRO_PAD_BUF) {
+    if ((pad_h > 0 || pad_w > 0) && hp * wp <= REPRO_PAD_BUF) {
         /* Small padded feature maps (the norm for CIFAR-scale nets):
          * stage each channel into a zero-bordered buffer once, turning
          * every tap row into an unconditional copy/gather.  The border
@@ -145,7 +150,7 @@ static void im2col_sample(const double *x, double *cols,
         for (int64_t ch = 0; ch < c; ch++) {
             const double *src = x + ch * plane;
             for (int64_t y = 0; y < h; y++)
-                copy_row(pad_buf + (y + pad) * wp + pad, src + y * w, w);
+                copy_row(pad_buf + (y + pad_h) * wp + pad_w, src + y * w, w);
             double *dst = cols + ch * kh * kw * ncols;
             /* Constant-width tap copies: at CIFAR scale the output row is
              * 2/4/8 doubles, where a loop with a compile-time trip count
@@ -196,14 +201,14 @@ static void im2col_sample(const double *x, double *cols,
             for (int64_t j = 0; j < kw; j++) {
                 double *dst = cols + (ch * kh * kw + i * kw + j) * ncols;
                 for (int64_t oy = 0; oy < oh; oy++) {
-                    const int64_t iy = oy * stride + i - pad;
+                    const int64_t iy = oy * stride + i - pad_h;
                     double *row = dst + oy * ow;
                     if (iy < 0 || iy >= h) {
                         zero_row(row, ow);
                         continue;
                     }
                     const double *line = src + iy * w;
-                    const int64_t ix0 = j - pad;
+                    const int64_t ix0 = j - pad_w;
                     if (stride == 1) {
                         int64_t ox = 0;
                         int64_t in_end = ow;
@@ -232,12 +237,12 @@ static void im2col_sample(const double *x, double *cols,
 /* im2col with fused zero padding: x (N,C,H,W) -> cols (N, C*kh*kw, oh*ow). */
 void repro_im2col(const double *x, double *cols,
                   int64_t n, int64_t c, int64_t h, int64_t w,
-                  int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-                  int64_t oh, int64_t ow)
+                  int64_t kh, int64_t kw, int64_t stride,
+                  int64_t pad_h, int64_t pad_w, int64_t oh, int64_t ow)
 {
     for (int64_t b = 0; b < n; b++)
         im2col_sample(x + b * c * h * w, cols + b * c * kh * kw * oh * ow,
-                      c, h, w, kh, kw, stride, pad, oh, ow);
+                      c, h, w, kh, kw, stride, pad_h, pad_w, oh, ow);
 }
 
 /* Adjoint scatter-add into a zero-initialised padded buffer (N,C,hp,wp).
@@ -275,18 +280,22 @@ void repro_col2im(const double *cols, double *padded,
 
 /* Fused forward: per sample, im2col straight into the cols buffer and a
  * dgemm on the still-cache-warm columns, then a separate bias pass.
- * Requires a dgemm pointer (caller checks repro_has_dgemm first). */
+ * Requires a dgemm pointer (caller checks repro_has_dgemm first) and
+ * f > 1 and oh*ow > 1: np.matmul calls gemv, not dgemm, for a single
+ * filter or a single output position. */
 void repro_conv2d_forward(const double *x, const double *wmat, const double *bias,
                           double *cols, double *out,
                           int64_t n, int64_t c, int64_t h, int64_t w,
                           int64_t f, int64_t kh, int64_t kw,
-                          int64_t stride, int64_t pad, int64_t oh, int64_t ow)
+                          int64_t stride, int64_t pad_h, int64_t pad_w,
+                          int64_t oh, int64_t ow)
 {
     const int64_t kdim = c * kh * kw;
     const int64_t ncols = oh * ow;
     for (int64_t b = 0; b < n; b++) {
         double *cols_b = cols + b * kdim * ncols;
-        im2col_sample(x + b * c * h * w, cols_b, c, h, w, kh, kw, stride, pad, oh, ow);
+        im2col_sample(x + b * c * h * w, cols_b, c, h, w, kh, kw, stride,
+                      pad_h, pad_w, oh, ow);
         /* CblasRowMajor=101, CblasNoTrans=111: same per-sample GEMM that
          * np.matmul's broadcast path issues. */
         dgemm64(101, 111, 111, f, ncols, kdim, 1.0,
@@ -473,11 +482,11 @@ def _bind(library_path: str) -> ctypes.CDLL:
     lib.repro_set_dgemm64.restype = None
     lib.repro_has_dgemm.argtypes = []
     lib.repro_has_dgemm.restype = ctypes.c_int
-    lib.repro_im2col.argtypes = [_ptr, _ptr] + [_i64] * 10
+    lib.repro_im2col.argtypes = [_ptr, _ptr] + [_i64] * 11
     lib.repro_im2col.restype = None
     lib.repro_col2im.argtypes = [_ptr, _ptr] + [_i64] * 9
     lib.repro_col2im.restype = None
-    lib.repro_conv2d_forward.argtypes = [_ptr] * 5 + [_i64] * 11
+    lib.repro_conv2d_forward.argtypes = [_ptr] * 5 + [_i64] * 12
     lib.repro_conv2d_forward.restype = None
     lib.repro_bn_fold.argtypes = [_ptr] * 4 + [_i64] * 3
     lib.repro_bn_fold.restype = None
@@ -520,6 +529,7 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
     c_relu = lib.repro_relu
     c_delta_table = lib.repro_delta_table
     output_size = reference.conv2d_output_size
+    pad_pair = reference.pad_pair
     empty = np.empty
     empty_like = np.empty_like
 
@@ -527,12 +537,13 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         batch, channels, height, width = x.shape
         kh, kw = kernel
         out_h, out_w = output_size(height, width, kernel, stride, padding)
+        pad_h, pad_w = pad_pair(padding)
         x = _f64(x)
         if out is None:
             out = empty((batch, channels * kh * kw, out_h * out_w))
         c_im2col(
             _data(x), _data(out), batch, channels, height, width,
-            kh, kw, stride, padding, out_h, out_w,
+            kh, kw, stride, pad_h, pad_w, out_h, out_w,
         )
         return out
 
@@ -540,25 +551,26 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         batch, channels, height, width = input_shape
         kh, kw = kernel
         out_h, out_w = output_size(height, width, kernel, stride, padding)
+        pad_h, pad_w = pad_pair(padding)
         cols = _f64(cols)
-        padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
+        padded = np.zeros((batch, channels, height + 2 * pad_h, width + 2 * pad_w))
         c_col2im(
             _data(cols), _data(padded), batch, channels,
             padded.shape[2], padded.shape[3], kh, kw, stride, out_h, out_w,
         )
-        if padding > 0:
-            return padded[:, :, padding:-padding, padding:-padding]
+        if pad_h or pad_w:
+            return padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width]
         return padded
 
     def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, cols_out=None):
         batch, channels, height, width = x.shape
         kh, kw = kernel
         out_h, out_w = output_size(height, width, kernel, stride, padding)
-        num_filters = weight_matrix.shape[0]
+        num_filters, kdim = weight_matrix.shape
         cols = cols_out
         if cols is None:
-            cols = empty((batch, channels * kh * kw, out_h * out_w))
-        if not has_gemm:
+            cols = empty((batch, kdim, out_h * out_w))
+        if not has_gemm or num_filters == 1 or out_h * out_w == 1:
             im2col(x, kernel, stride, padding, out=cols)
             out = np.matmul(weight_matrix, cols)
             if bias is not None:
@@ -568,10 +580,11 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         weight_matrix = _f64(weight_matrix)
         out = empty((batch, num_filters, out_h * out_w))
         bias_ptr = None if bias is None else _data(_f64(bias))
+        pad_h, pad_w = pad_pair(padding)
         c_conv2d(
             _data(x), _data(weight_matrix), bias_ptr, _data(cols), _data(out),
             batch, channels, height, width, num_filters,
-            kh, kw, stride, padding, out_h, out_w,
+            kh, kw, stride, pad_h, pad_w, out_h, out_w,
         )
         return out, cols
 

@@ -11,6 +11,10 @@ Accumulation-order contract (see docs/ENGINES.md):
 - ``im2col`` / ``conv2d_forward``: patches are gathered per sample and fed
   to one fixed-shape GEMM per sample (``np.matmul`` broadcast semantics),
   so per-sample outputs are independent of how many samples are stacked.
+  numpy matmul uses gemv for one-column or one-row operands; backends must
+  do the same.
+- ``padding`` is an int or a ``(pad_h, pad_w)`` pair of zero rows and
+  columns added on each side.
 - ``conv2d_forward`` adds the bias *after* the GEMM in a separate pass —
   one extra rounding per element, never fused into the GEMM epilogue.
 - ``col2im`` accumulates kernel taps in ``(i, j)`` row-major order; every
@@ -24,17 +28,26 @@ Accumulation-order contract (see docs/ENGINES.md):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 
+Padding = Union[int, Tuple[int, int]]
+
+
+def pad_pair(padding: Padding) -> Tuple[int, int]:
+    """``(pad_h, pad_w)`` from an int or a pair."""
+    return padding if isinstance(padding, tuple) else (padding, padding)
+
+
 def conv2d_output_size(
-    height: int, width: int, kernel: Tuple[int, int], stride: int, padding: int
+    height: int, width: int, kernel: Tuple[int, int], stride: int, padding: Padding
 ) -> Tuple[int, int]:
     """Spatial output size of a 2-D convolution (raises when empty)."""
-    out_h = (height + 2 * padding - kernel[0]) // stride + 1
-    out_w = (width + 2 * padding - kernel[1]) // stride + 1
+    pad_h, pad_w = pad_pair(padding)
+    out_h = (height + 2 * pad_h - kernel[0]) // stride + 1
+    out_w = (width + 2 * pad_w - kernel[1]) // stride + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
             f"convolution output would be empty: input {height}x{width}, "
@@ -47,7 +60,7 @@ def im2col(
     x: np.ndarray,
     kernel: Tuple[int, int],
     stride: int,
-    padding: int,
+    padding: Padding,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Rearrange ``(N, C, H, W)`` patches into ``(N, C*kh*kw, out_h*out_w)``.
@@ -59,8 +72,9 @@ def im2col(
     batch, channels, height, width = x.shape
     kh, kw = kernel
     out_h, out_w = conv2d_output_size(height, width, kernel, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    pad_h, pad_w = pad_pair(padding)
+    if pad_h or pad_w:
+        x = np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
     strides = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
@@ -83,19 +97,20 @@ def col2im(
     input_shape: Tuple[int, int, int, int],
     kernel: Tuple[int, int],
     stride: int,
-    padding: int,
+    padding: Padding,
 ) -> np.ndarray:
     """Scatter-add columns back into image space (adjoint of :func:`im2col`)."""
     batch, channels, height, width = input_shape
     kh, kw = kernel
     out_h, out_w = conv2d_output_size(height, width, kernel, stride, padding)
-    padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
+    pad_h, pad_w = pad_pair(padding)
+    padded = np.zeros((batch, channels, height + 2 * pad_h, width + 2 * pad_w))
     cols = cols.reshape(batch, channels, kh, kw, out_h, out_w)
     for i in range(kh):
         for j in range(kw):
             padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[:, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
+    if pad_h or pad_w:
+        return padded[:, :, pad_h:pad_h + height, pad_w:pad_w + width]
     return padded
 
 
@@ -105,7 +120,7 @@ def conv2d_forward(
     bias: Optional[np.ndarray],
     kernel: Tuple[int, int],
     stride: int,
-    padding: int,
+    padding: Padding,
     cols_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Forward convolution: im2col + per-sample GEMM + separate bias pass.

@@ -60,7 +60,7 @@ class _BatchNorm(Module):
             fused = kernels.active("bn_infer")
             if fused is not None:
                 # Gradient-free forward with the compiled tier active: one
-                # C/JIT pass folding the raw statistics and applying them,
+                # C pass folding the raw statistics and applying them,
                 # instead of several per-channel NumPy ops plus two Tensor
                 # passes.  Same derivation steps, same multiply-then-add
                 # rounding order — bit-identical to the composition below.

@@ -61,16 +61,23 @@ def check_engine(engine: str) -> None:
         )
 
 
+#: Environment variable that overrides :func:`default_engine`.
+DEFAULT_ENGINE_ENV = "REPRO_DEFAULT_ENGINE"
+
+
 def default_engine() -> str:
     """The process-wide default engine tier.
 
-    ``REPRO_DEFAULT_ENGINE`` overrides the built-in ``"vectorized"``
-    default — the CI compiled leg runs the entire suite under
-    ``REPRO_DEFAULT_ENGINE=compiled`` this way.  Invalid values raise
-    rather than silently running a different tier than requested.
+    The built-in default is ``"compiled"``: the vectorized algorithms with
+    the C kernels of :mod:`repro.nn.kernels`, which fall back silently to
+    plain vectorized when no backend builds.  ``REPRO_DEFAULT_ENGINE``
+    overrides it — ``REPRO_DEFAULT_ENGINE=vectorized`` pins the NumPy tier
+    (the CI vectorized leg runs the golden suites that way).  Invalid
+    values raise rather than silently running a different tier than
+    requested.
     """
-    engine = os.environ.get("REPRO_DEFAULT_ENGINE", "").strip().lower()
+    engine = os.environ.get(DEFAULT_ENGINE_ENV, "").strip().lower()
     if not engine:
-        return "vectorized"
+        return "compiled"
     check_engine(engine)
     return engine

@@ -6,6 +6,7 @@ import pytest
 from repro.core.bfa import BitFlipAttack, BitSearchConfig, CandidateSet
 from repro.core.mapping import TensorCandidates
 from repro.core.objective import AttackObjective
+from repro.nn import kernels
 from repro.nn.quantization import quantized_parameters
 
 
@@ -147,3 +148,45 @@ class TestBitFlipAttack:
         result = BitFlipAttack(model, lenient, config=BitSearchConfig(max_flips=5)).run()
         assert result.num_flips == 0
         assert result.converged
+
+
+class TestKernelScope:
+    """Each attack runs on its own kernel tier, whatever the process default."""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_numpy_engines_pin_reference_kernels(
+        self, tiny_quantized_model, objective, engine
+    ):
+        model, _ = tiny_quantized_model
+        attack = BitFlipAttack(model, objective, engine=engine)
+        with kernels.use("compiled"):  # stands in for a compiled process default
+            with attack.kernel_scope():
+                assert not kernels.compiled_active()
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_numpy_engines_run_without_compiled_kernels(
+        self, tiny_quantized_model, objective, engine, monkeypatch
+    ):
+        """Not one compiled kernel dispatches during a non-compiled run."""
+        model, _ = tiny_quantized_model
+        dispatched = []
+        real_active = kernels.active
+
+        def spy(name):
+            impl = real_active(name)
+            if impl is not None:
+                dispatched.append(name)
+            return impl
+
+        monkeypatch.setattr(kernels, "active", spy)
+        config = BitSearchConfig(max_flips=2, top_k_layers=2, eval_batch_size=32)
+        with kernels.use("compiled"):
+            BitFlipAttack(model, objective, config=config, engine=engine).run()
+        assert dispatched == []
+
+    def test_compiled_engine_activates_backend_kernels(self, tiny_quantized_model, objective):
+        model, _ = tiny_quantized_model
+        attack = BitFlipAttack(model, objective, engine="compiled")
+        with kernels.use("vectorized"):
+            with attack.kernel_scope() as enabled:
+                assert enabled == kernels.available() == kernels.compiled_active()

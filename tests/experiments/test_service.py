@@ -25,7 +25,9 @@ from repro.experiments import (
     ServiceUnavailableError,
 )
 from repro.experiments import service as service_module
+from repro.nn import kernels
 from repro.utils.blas import THREAD_ENV, blas_threads
+from repro.utils.validation import default_engine
 from repro.utils.resilience import RetryPolicy
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
@@ -187,6 +189,11 @@ class TestOverloadProtection:
         assert health["uptime_seconds"] >= 0
         assert set(health["registry"]) >= {"hits", "misses", "entries", "bytes"}
         assert health["blas_threads"] == blas_threads()
+
+    def test_health_reports_engine_and_kernel_backend(self, tmp_path):
+        health = _service(tmp_path)._dispatch({"op": "health"})["health"]
+        assert health["engine"] == default_engine()
+        assert health["kernel_backend"] == kernels.backend_name(probe=False)
 
     def test_client_submit_retries_until_capacity(self, tmp_path, monkeypatch):
         client = ServiceClient(host="127.0.0.1", port=1)
@@ -536,5 +543,21 @@ class TestDaemonProcess:
             assert daemon.wait(timeout=60) == 0
         with _daemon_process(tmp_path / "exported", OPENBLAS_NUM_THREADS="2") as (daemon, client):
             assert client.health()["blas_threads"] == min(2, os.cpu_count() or 1)
+            client.shutdown()
+            assert daemon.wait(timeout=60) == 0
+
+    def test_health_reports_engine_and_no_backend_before_an_nn_op(self, tmp_path):
+        with _daemon_process(tmp_path / "default", REPRO_DEFAULT_ENGINE="") as (daemon, client):
+            assert client.health()["engine"] == "compiled"
+            job = client.submit(_cheap_spec().to_dict())
+            assert client.wait(job["job_id"], timeout=60)["state"] == "done"
+            # A DRAM-only job never probes the kernel registry.
+            assert client.health()["kernel_backend"] is None
+            client.shutdown()
+            assert daemon.wait(timeout=60) == 0
+        with _daemon_process(
+            tmp_path / "pinned", REPRO_DEFAULT_ENGINE="vectorized"
+        ) as (daemon, client):
+            assert client.health()["engine"] == "vectorized"
             client.shutdown()
             assert daemon.wait(timeout=60) == 0

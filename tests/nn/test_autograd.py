@@ -176,10 +176,6 @@ class TestShapeOps:
         check_gradient(lambda t: t[1:3, :], a)
         check_gradient(lambda t: t[:, 0], a)
 
-    def test_pad(self):
-        a = rng.normal(size=(2, 3))
-        check_gradient(lambda t: t.pad(((1, 1), (0, 2))), a)
-
     def test_concatenate_and_stack(self):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))

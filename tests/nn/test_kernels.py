@@ -2,13 +2,16 @@
 
 The compiled tier's whole contract is "same bits, less time" — these tests
 pin the registry mechanics (closed kernel set, per-kernel fallback,
-thread-local activation), byte-level agreement between every backend
-kernel and its reference, the exactly-one-warning toolchain-absent
-fallback, and the correctness guards of the scratch pool and the im2col
-memo used by the stacked suffix cascade.
+thread-local activation, the compiled process default), byte-level
+agreement between every backend kernel and its reference, the silent
+default fallback and exactly-one-warning explicit fallback without a
+toolchain, lazy probing, and the correctness guards of the scratch pool
+and the im2col memo used by the stacked suffix cascade.
 """
 
-import builtins
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -67,19 +70,73 @@ class TestRegistry:
         assert first == second
         assert set(first) <= set(kernels.KERNEL_NAMES)
 
+    @pytest.mark.parametrize(
+        "diverges",
+        [
+            lambda out, weight_matrix: out.shape[2] == 1,
+            lambda out, weight_matrix: weight_matrix.shape[0] == 1,
+        ],
+        ids=["1x1-output-plane", "single-filter"],
+    )
+    def test_warmup_drops_conv_that_diverges_on_gemv_shapes(self, fresh_registry, diverges):
+        """A conv kernel off by one ulp only where np.matmul uses gemv."""
+
+        def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, cols_out=None):
+            out, cols = reference.conv2d_forward(
+                x, weight_matrix, bias, kernel, stride, padding, cols_out
+            )
+            if diverges(out, weight_matrix):
+                out = np.nextafter(out, np.inf)
+            return out, cols
+
+        kernels._state.update(
+            probed=True, name="fake", kernels={"conv2d_forward": conv2d_forward}
+        )
+        assert kernels.warmup() == ()
+        assert kernels.backend_name() is None
+
+    def test_dram_only_run_never_probes_the_registry(self):
+        """A run without a neural network neither builds nor loads kernels."""
+        code = (
+            "from repro.dram.geometry import DramGeometry\n"
+            "from repro.experiments import DefenseMatrixSpec, ExperimentRunner\n"
+            "from repro.nn import kernels\n"
+            "geometry = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)\n"
+            "ExperimentRunner().run(DefenseMatrixSpec(geometry=geometry, chip_seed=1))\n"
+            "print(kernels._state['probed'], kernels.backend_name(probe=False))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ)
+        env.pop("REPRO_DEFAULT_ENGINE", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert completed.stdout.split()[-2:] == ["False", "None"]
+
 
 class TestActivation:
-    def test_inactive_by_default(self):
+    @needs_backend
+    def test_active_by_default(self, fresh_registry):
+        fresh_registry.delenv("REPRO_DEFAULT_ENGINE", raising=False)
+        assert kernels.compiled_active()
+        assert kernels.active("im2col") is not None
+
+    def test_default_engine_env_vectorized_pins_process_wide(self, fresh_registry):
+        fresh_registry.setenv("REPRO_DEFAULT_ENGINE", "vectorized")
         assert not kernels.compiled_active()
         assert kernels.active("im2col") is None
+        with kernels.use("compiled") as enabled:
+            assert kernels.compiled_active() == enabled == BACKEND
 
     @needs_backend
     def test_use_compiled_activates_in_scope_only(self):
-        with kernels.use("compiled") as enabled:
-            assert enabled
-            assert kernels.compiled_active()
-            assert kernels.active("im2col") is not None
-        assert not kernels.compiled_active()
+        with kernels.use("vectorized"):
+            with kernels.use("compiled") as enabled:
+                assert enabled
+                assert kernels.compiled_active()
+                assert kernels.active("im2col") is not None
+            assert not kernels.compiled_active()
 
     def test_use_vectorized_pins_reference_tier(self):
         with kernels.use("vectorized") as enabled:
@@ -156,6 +213,56 @@ class TestBitIdentity:
         self.assert_bytes_equal(got_out, want_out)
         self.assert_bytes_equal(got_cols, want_cols)
 
+    @pytest.mark.parametrize(
+        "input_shape,filters,kernel,stride,padding",
+        [
+            # 1x1 output planes: np.matmul multiplies by a single column.
+            ((3, 2, 2, 2), 5, (1, 1), 2, 0),
+            ((3, 2, 3, 3), 5, (3, 3), 1, 0),
+            ((2, 4, 3, 3), 8, (3, 3), 2, 0),
+            # A single filter: np.matmul multiplies a single row.
+            ((3, 3, 7, 6), 1, (3, 3), 1, 1),
+            # Asymmetric (0, p) padding: M11's conv1d as a 1-row conv2d.
+            ((3, 4, 1, 17), 5, (1, 3), 1, (0, 1)),
+            ((3, 4, 1, 17), 5, (1, 5), 2, (0, 2)),
+            ((2, 3, 4, 9), 5, (3, 3), 1, (0, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_conv2d_forward_matmul_special_shapes(
+        self, input_shape, filters, kernel, stride, padding, with_bias
+    ):
+        """Shapes where np.matmul calls gemv, and asymmetric padding."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(input_shape)
+        taps = input_shape[1] * kernel[0] * kernel[1]
+        weight_matrix = rng.standard_normal((filters, taps))
+        bias = rng.standard_normal(filters) if with_bias else None
+        got_out, got_cols = kernels.get_kernel("conv2d_forward")(
+            x, weight_matrix, bias, kernel, stride, padding
+        )
+        want_out, want_cols = reference.conv2d_forward(
+            x, weight_matrix, bias, kernel, stride, padding
+        )
+        self.assert_bytes_equal(got_out, want_out)
+        self.assert_bytes_equal(got_cols, want_cols)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [((1, 3), 1, (0, 1)), ((3, 3), 2, (0, 2))])
+    def test_asymmetric_padding_im2col_col2im(self, kernel, stride, padding):
+        x = rich_inputs()
+        self.assert_bytes_equal(
+            kernels.get_kernel("im2col")(x, kernel, stride, padding),
+            reference.im2col(x, kernel, stride, padding),
+        )
+        out_h, out_w = reference.conv2d_output_size(7, 6, kernel, stride, padding)
+        cols = np.random.default_rng(12).standard_normal(
+            (4, 3 * kernel[0] * kernel[1], out_h * out_w)
+        )
+        self.assert_bytes_equal(
+            kernels.get_kernel("col2im")(cols, x.shape, kernel, stride, padding),
+            reference.col2im(cols, x.shape, kernel, stride, padding),
+        )
+
     def test_bn_fold(self):
         x = rich_inputs()
         rng = np.random.default_rng(3)
@@ -203,21 +310,36 @@ class TestBitIdentity:
 
 
 class TestFallback:
-    """engine="compiled" with no toolchain: warn once, stay bit-identical."""
+    """No toolchain: the default falls back silently, an explicit request
+    warns once, and results stay bit-identical."""
 
     def _disable_backends(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
         monkeypatch.delenv("REPRO_DEFAULT_ENGINE", raising=False)
-        # Hide numba even if it were importable, so the probe exercises the
-        # true toolchain-absent path rather than relying on this box.
-        original_import = builtins.__import__
 
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba hidden for fallback test")
-            return original_import(name, *args, **kwargs)
+    def test_default_resolution_is_silent_explicit_request_warns_once(
+        self, fresh_registry
+    ):
+        self._disable_backends(fresh_registry)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not kernels.compiled_active()
+            assert not kernels.enabled_for(None)
+            assert not caught
+            assert not kernels.enabled_for("compiled")
+            with kernels.use("compiled") as enabled:
+                assert not enabled
+        fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(fallback) == 1
+        assert "falling back" in str(fallback[0].message)
 
-        monkeypatch.setattr(builtins, "__import__", no_numba)
+    def test_explicit_default_engine_env_warns(self, fresh_registry):
+        self._disable_backends(fresh_registry)
+        fresh_registry.setenv("REPRO_DEFAULT_ENGINE", "compiled")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not kernels.compiled_active()
+        assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
 
     def test_backend_absent_reports_unavailable(self, fresh_registry):
         self._disable_backends(fresh_registry)
@@ -355,8 +477,9 @@ class TestIm2colMemo:
         )[0].tobytes()
 
     def test_noop_outside_compiled_tier(self):
-        with kernels.im2col_memo() as scope:
-            assert scope is None
+        with kernels.use("vectorized"):
+            with kernels.im2col_memo() as scope:
+                assert scope is None
 
     @needs_backend
     def test_nested_scope_keeps_outer_memo(self):
