@@ -16,7 +16,7 @@ reproduction defines:
   surrogate victim once and sharing clean-state snapshots across
   experiments;
 * :mod:`~repro.experiments.store` — :class:`ResultStore` (and its
-  spec-hash-partitioned sibling :class:`ShardedResultStore`), persisting
+  name-hash-sharded sibling :class:`ShardedResultStore`), persisting
   every result type as schema-versioned JSON envelopes;
 * :mod:`~repro.experiments.service` — :class:`ExperimentService`, the
   persistent daemon behind ``python -m repro serve``: an async

@@ -21,13 +21,10 @@ Subcommands
 ``worker``
     Join a distributed run (or a daemon using ``--backend distributed``)
     as a TCP worker process, possibly from another host.
-``migrate-store``
-    Move a flat results directory into the sharded layout, bytes
-    unchanged (idempotent; re-running is a no-op).
 ``fsck``
     Verify every stored result and queued job against its sha256
-    checksum, optionally quarantining corrupt files and rebuilding
-    shard indexes (``--quarantine``), and optionally sweeping orphaned
+    checksum, optionally quarantining corrupt files
+    (``--quarantine``), and optionally sweeping orphaned
     ``/dev/shm`` victim segments left by dead daemons (``--shm``).
 ``health``
     One-shot health snapshot of a running daemon: queue depth, active
@@ -52,7 +49,7 @@ from repro.experiments.specs import (
     ProfileDensitySpec,
     spec_from_dict,
 )
-from repro.experiments.store import ShardedResultStore, open_store
+from repro.experiments.store import open_store
 from repro.nn.quantization import VICTIM_PRECISIONS
 from repro.utils.resilience import ResilienceConfig
 from repro.utils.validation import ENGINES
@@ -415,18 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exit after serving one run instead of reconnecting")
     _add_resilience_arguments(worker)
 
-    migrate = sub.add_parser("migrate-store",
-                             help="move a flat results directory into the sharded layout")
-    migrate.add_argument("--store", default=DEFAULT_STORE)
-
     fsck = sub.add_parser("fsck",
                           help="verify stored results and queued jobs against "
                                "their checksums")
     fsck.add_argument("--store", default=DEFAULT_STORE, help="result store directory")
     fsck.add_argument("--queue", default=DEFAULT_QUEUE, help="job queue directory")
     fsck.add_argument("--quarantine", action="store_true",
-                      help="move corrupt files into <dir>/quarantine/ and "
-                           "rebuild the touched shard indexes")
+                      help="move corrupt files into <dir>/quarantine/")
     fsck.add_argument("--shm", action="store_true",
                       help="also sweep /dev/shm victim segments orphaned by "
                            "dead daemons (live daemons' segments are kept)")
@@ -654,28 +646,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.experiments.fsck import fsck_store
-
-    store = ShardedResultStore(args.store)
-    moved = store.migrate()
-    print(f"migrated {len(moved)} result file(s) into "
-          f"{store.directory / ShardedResultStore.SHARD_DIR}")
-    for name in moved:
-        print(f"  {name}")
-    # Prove the result verifies before declaring success (a corrupt
-    # source file should not migrate silently).
-    report = fsck_store(store.directory)
-    print(f"verified {report.verified} checksummed result file(s)")
-    if not report.clean:
-        for issue in report.issues:
-            print(f"  {issue.problem}: {issue.path} ({issue.detail})", file=sys.stderr)
-        print("error: store failed verification after migration; "
-              "run `python -m repro fsck --quarantine`", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_fsck(args: argparse.Namespace) -> int:
     from repro.experiments.fsck import fsck_queue, fsck_store, sweep_shm
 
@@ -693,8 +663,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         for issue in report.issues:
             if issue.quarantined:
                 action = "quarantined"
-            elif issue.repaired:
-                action = "repaired"
             else:
                 action = "found"
                 issues += 1
@@ -735,7 +703,6 @@ _COMMANDS = {
     "cancel": cmd_cancel,
     "jobs": cmd_jobs,
     "worker": cmd_worker,
-    "migrate-store": cmd_migrate,
     "fsck": cmd_fsck,
     "health": cmd_health,
 }

@@ -65,7 +65,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -78,11 +77,6 @@ from repro.utils.resilience import CircuitBreaker, Deadline, ResilienceConfig
 
 #: Frame header: unsigned 64-bit big-endian payload length.
 _HEADER = struct.Struct("!Q")
-
-#: Historical default for how many times one chunk may be requeued after
-#: worker losses before the run is declared failed; the live bound is
-#: :attr:`ResilienceConfig.max_chunk_retries`.
-MAX_CHUNK_REQUEUES = 3
 
 #: Default port the daemon offers to distributed workers.
 DEFAULT_WORKER_PORT = 7422
@@ -165,7 +159,7 @@ class _RunState:
     def __init__(
         self,
         chunks: Sequence[Sequence[Mapping[str, Any]]],
-        max_retries: int = MAX_CHUNK_REQUEUES,
+        max_retries: int = ResilienceConfig.max_chunk_retries,
     ):
         self.tasks = deque(enumerate(chunks))
         self.results: Dict[int, List[Any]] = {}
@@ -225,8 +219,7 @@ class DistributedBackend(ExecutionBackend):
     :class:`~repro.experiments.runner.ProcessPoolBackend`.
 
     Every timeout and retry bound comes from ``resilience`` (defaulting to
-    :meth:`ResilienceConfig.from_env`); the legacy ``connect_timeout``
-    parameter overrides that one field for backward compatibility.
+    :meth:`ResilienceConfig.from_env`).
     """
 
     name = "distributed"
@@ -240,7 +233,6 @@ class DistributedBackend(ExecutionBackend):
         chunk_size: Optional[int] = None,
         share_victims: bool = True,
         registry=None,
-        connect_timeout: Optional[float] = None,
         resilience: Optional[ResilienceConfig] = None,
     ):
         self.num_workers = num_workers
@@ -251,16 +243,9 @@ class DistributedBackend(ExecutionBackend):
         self.share_victims = share_victims
         self.registry = registry
         self.resilience = resilience or ResilienceConfig.from_env()
-        if connect_timeout is not None:
-            self.resilience = self.resilience.replace(connect_timeout=connect_timeout)
         #: How the last run finished: ``"distributed"`` or the name of the
         #: fallback backend that completed the leftover work.
         self.last_execution_path = "distributed"
-
-    @property
-    def connect_timeout(self) -> float:
-        """Seconds the backend waits for a worker before declaring a stall."""
-        return self.resilience.connect_timeout
 
     def run_units(
         self,
@@ -581,7 +566,6 @@ def run_worker(
     host: str,
     port: int,
     once: bool = False,
-    connect_retries: Optional[int] = None,
     resilience: Optional[ResilienceConfig] = None,
 ) -> int:
     """Worker loop for ``python -m repro worker``: pull chunks, push outputs.
@@ -598,8 +582,6 @@ def run_worker(
     """
     pin_blas_threads()
     config = resilience or ResilienceConfig.from_env()
-    if connect_retries is not None:
-        config = config.replace(dial_retries=connect_retries)
     breaker = config.breaker()
     while True:
         if not breaker.allow():

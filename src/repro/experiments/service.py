@@ -5,7 +5,7 @@ service.  The daemon composes the pieces this package already has —
 :class:`~repro.experiments.queue.JobQueue` (persistent, crash-safe job
 state), :class:`~repro.experiments.registry.VictimRegistry` (warm
 shared-memory victims spanning jobs),
-:class:`~repro.experiments.store.ShardedResultStore` (spec-hash-sharded
+:class:`~repro.experiments.store.ShardedResultStore` (name-sharded
 results) and :class:`~repro.experiments.runner.ExperimentRunner` — behind
 a line-oriented JSON protocol on a TCP socket:
 
@@ -43,6 +43,7 @@ from repro.experiments.checkpoint import CheckpointedBackend, ChunkCheckpoint
 from repro.experiments.queue import JobQueue, Job, QueueFullError
 from repro.experiments.registry import VictimRegistry
 from repro.experiments.runner import ExperimentRunner, make_backend
+from repro.experiments.shared import REGISTRY_MANIFEST_FILE, pid_alive
 from repro.experiments.specs import spec_from_dict
 from repro.experiments.store import open_store
 from repro.nn import kernels
@@ -58,9 +59,6 @@ DEFAULT_PORT = 7421
 
 #: Name of the discovery file the daemon writes into its queue directory.
 ENDPOINT_FILE = "endpoint.json"
-
-#: Name of the registry liveness manifest in the queue directory.
-REGISTRY_MANIFEST_FILE = "registry.json"
 
 
 class ServiceUnavailableError(ConnectionError):
@@ -88,17 +86,6 @@ class ServiceOverloadError(RuntimeError):
 
 class WatchdogTimeout(RuntimeError):
     """The execution backend wedged: a job exceeded the watchdog budget."""
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal-0 probe)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # e.g. EPERM: the process exists, just not ours
-    return True
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -565,7 +552,7 @@ class ServiceClient:
                     f"no service endpoint at {endpoint_path} — is the daemon running?"
                 ) from exc
             pid = endpoint.get("pid")
-            if pid is not None and not _pid_alive(int(pid)):
+            if pid is not None and not pid_alive(int(pid)):
                 raise ServiceUnavailableError(
                     f"endpoint {endpoint_path} is stale: daemon pid {pid} is dead"
                 )

@@ -58,6 +58,21 @@ SEGMENT_PREFIX = "repro_victim_"
 #: race its books and its shutdown cleanup could destroy live segments).
 _SHM_DIR = Path("/dev/shm")
 
+#: Name of the victim registry's liveness manifest (owner pid + owned
+#: segment names) inside a daemon's queue directory.
+REGISTRY_MANIFEST_FILE = "registry.json"
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (signal-0 probe)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True  # e.g. EPERM: the process exists, just not ours
+    return True
+
 #: Segments created by this process that are still linked; the atexit hook
 #: unlinks them so an aborted run cannot leak ``/dev/shm`` space.
 _OWNED: Dict[str, shared_memory.SharedMemory] = {}

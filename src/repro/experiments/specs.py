@@ -171,10 +171,8 @@ def canonical_spec_json(payload: Mapping[str, Any]) -> str:
 def spec_hash(spec_or_payload) -> str:
     """Content hash (SHA-256 hex) of a spec or its ``to_dict`` payload.
 
-    The hash addresses everything downstream of a spec: the job queue
-    derives job ids from it (duplicate submissions of the same spec
-    deduplicate to one job) and the sharded result store partitions its
-    directory by the hash prefix.  Accepts either an
+    The job queue derives job ids from it, so duplicate submissions of
+    the same spec deduplicate to one job.  Accepts either an
     :class:`ExperimentSpec` instance or its payload mapping.
     """
     if isinstance(spec_or_payload, ExperimentSpec):

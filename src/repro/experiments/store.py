@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from repro.testing import chaos
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.specs import spec_from_dict, spec_hash
+from repro.experiments.specs import spec_from_dict
 
 SCHEMA_VERSION = 2
 
@@ -132,14 +132,40 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
+#: Subdirectory holding the sharded layout; its existence marks a store
+#: directory as sharded (see :func:`open_store`).
+SHARD_DIR = "shards"
+
+
+def _shard_path(directory: Path, name: str) -> Path:
+    """Where the sharded layout keeps ``name``: a pure function of the name.
+
+    ``shards/<xx>/<name>.json`` with ``xx`` the first two hex digits of
+    ``sha256(name)``, so a lookup needs no index and listing needs no
+    parse: a shard file belongs to the store exactly when it sits at its
+    own name's path.
+    """
+    prefix = hashlib.sha256(name.encode("utf-8")).hexdigest()[:2]
+    return directory / SHARD_DIR / prefix / f"{name}.json"
+
+
 class ResultStore:
     """Directory of schema-versioned experiment-result JSON files.
 
-    The store keeps an mtime/size index over the directory: a file is read
-    and parsed once, and re-read only when its stat signature changes, so
-    repeated CLI ``list`` / ``report`` calls (and programmatic
-    :meth:`names` / :meth:`load` loops) over a large result directory cost
-    one ``stat`` per file instead of one full JSON parse.
+    Two layouts share one directory: flat ``<name>.json`` files and the
+    sharded ``shards/<xx>/<name>.json`` tree (:class:`ShardedResultStore`).
+    :meth:`path_for` is a pure function of the name and the only thing
+    that differs between the two classes: each store writes to its own
+    layout and reads both, its own first.
+
+    Flat files go through an mtime/size index: a file is read and parsed
+    once, and re-read only when its stat signature changes, so repeated
+    CLI ``list`` / ``report`` calls (and programmatic :meth:`names` /
+    :meth:`load` loops) cost one ``stat`` per file instead of one full JSON
+    parse.  The parse is what tells envelopes from foreign JSON sharing
+    the directory.  Shard files are never parsed to be listed and never
+    retained after a load, so :meth:`iter_results` over a sharded store
+    streams in constant memory.
 
     ``verify`` controls load-time checksum verification (default on).
     ``repro fsck`` is the offline scan over the same verification.
@@ -159,6 +185,12 @@ class ResultStore:
     def path_for(self, name: str) -> Path:
         """Filesystem path a result of this name is stored at."""
         return self.directory / f"{name}.json"
+
+    def _read_paths(self, name: str) -> Tuple[Path, Path]:
+        """Where ``name`` may live: this store's own path, then the other layout's."""
+        own = self.path_for(name)
+        flat = self.directory / f"{name}.json"
+        return own, (_shard_path(self.directory, name) if own == flat else flat)
 
     def _envelope_for(self, path: Path) -> Any:
         """The parsed envelope of ``path``, via the mtime/size index.
@@ -222,15 +254,15 @@ class ResultStore:
         return ExperimentResult(spec=spec, payload=spec.decode_payload(envelope["payload"]))
 
     def save(self, name: str, result: ExperimentResult) -> Path:
-        """Persist ``result`` under ``name`` atomically; returns the path.
+        """Persist ``result`` at :meth:`path_for` atomically; returns the path.
 
         The temp-file + rename write guarantees a reader (or a daemon
         restart) never observes a torn envelope, whatever kills the writer
-        mid-save.
+        mid-save.  A copy of ``name`` in the other layout is left alone.
         """
         envelope = self._encode_envelope(result)
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name)
+        path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(
             path, json.dumps(envelope, indent=2, default=float, allow_nan=False)
         )
@@ -239,16 +271,20 @@ class ResultStore:
     def load(self, name: str) -> ExperimentResult:
         """Reconstruct the result previously saved under ``name``.
 
-        The raw envelope comes from the mtime/size index (parsed once per
-        on-disk version of the file); decoding still builds fresh result
-        objects on every call, so callers may mutate what they get back.
+        Reads this store's own path when it exists, else the other
+        layout's.  A flat envelope comes from the mtime/size index (parsed
+        once per on-disk version of the file); a shard file is parsed on
+        demand and not retained.  Decoding builds fresh result objects on
+        every call, so callers may mutate what they get back.
         """
-        path = self.path_for(name)
-        envelope = self._envelope_for(path)
+        own, other = self._read_paths(name)
+        path = other if not own.is_file() and other.is_file() else own
+        envelope = self._envelope_for(path) if path.parent == self.directory else None
         if envelope is None:
             # Preserve the historical error surface: a missing file raises
             # OSError, a non-envelope JSON file a ValueError.
             envelope = json.loads(path.read_text())
+            self.files_parsed += 1
         return self._decode_envelope(path, envelope)
 
     def iter_results(self) -> Iterator[Tuple[str, ExperimentResult]]:
@@ -265,200 +301,42 @@ class ResultStore:
     def names(self) -> List[str]:
         """Names of every loadable result in the store (sorted).
 
-        Backed by the mtime/size index: unchanged files are answered from
-        the cached parse, so a listing over a populated store re-reads only
-        the files that were added or rewritten since the previous call.
+        Flat files are answered from the mtime/size index, so a listing
+        re-reads only the files added or rewritten since the previous
+        call.  Shard files are listed by path alone: a file counts when it
+        sits at its own name's shard path, and none is parsed.
         """
-        if not self.directory.is_dir():
-            return []
-        found = []
-        for path in sorted(self.directory.glob("*.json")):
+        found = set()
+        for path in self.directory.glob("*.json"):
             envelope = self._envelope_for(path)
             if envelope is not None and envelope.get("schema_version") == SCHEMA_VERSION:
-                found.append(path.stem)
-        return found
+                found.add(path.stem)
+        for path in self.directory.glob(f"{SHARD_DIR}/*/*.json"):
+            if path == _shard_path(self.directory, path.stem):
+                found.add(path.stem)
+        return sorted(found)
 
     def __contains__(self, name: str) -> bool:
-        return self.path_for(name).is_file()
+        return any(path.is_file() for path in self._read_paths(name))
 
 
 class ShardedResultStore(ResultStore):
-    """A :class:`ResultStore` partitioned by spec-hash prefix.
+    """A :class:`ResultStore` that writes to the sharded layout.
 
-    Fleet-scale campaigns produce orders of magnitude more result files
-    than the flat layout's single directory (and single stat-everything
-    index pass) can serve.  This store partitions results into
-    ``shards/<xx>/`` subdirectories — ``xx`` being the first two hex digits
-    of the producing spec's :func:`~repro.experiments.specs.spec_hash` —
-    and maintains one ``_index.json`` per shard mapping result names to
-    ``{kind, spec_hash, mtime_ns, size}``.  Listing reads the (tiny, also
-    mtime-cached) shard indexes instead of every result file, and
-    :meth:`load` parses result files on demand *without* retaining the
-    parsed envelope, so :meth:`~ResultStore.iter_results` aggregation
-    streams in constant memory.
-
-    Legacy flat files in the store root remain readable (read-through);
-    :meth:`migrate` moves them into shards in place.
+    ``name`` lives at ``shards/<xx>/<name>.json``, ``xx`` being the first
+    two hex digits of ``sha256(name)``, so each shard directory holds
+    about a 256th of a fleet-scale campaign's files.  Flat files in the
+    store root stay readable.
     """
 
-    #: Subdirectory holding the shard tree; its existence marks a store
-    #: directory as sharded (see :func:`open_store`).
-    SHARD_DIR = "shards"
-
-    def __init__(self, directory: PathLike, verify: bool = True):
-        super().__init__(directory, verify=verify)
-        #: result name -> path of its sharded file (rebuilt from the shard
-        #: indexes whenever a lookup misses).
-        self._locations: Dict[str, Path] = {}
-        #: index-file path -> ((mtime_ns, size), entries) parse cache.
-        self._shard_index_cache: Dict[Path, tuple] = {}
-
-    # -- layout --------------------------------------------------------
-    def shard_prefix(self, spec_payload: Dict[str, Any]) -> str:
-        """The two-hex-digit shard a spec payload's results live in."""
-        return spec_hash(spec_payload)[:2]
-
     def path_for(self, name: str) -> Path:
-        """Sharded path when the shard indexes know ``name``, else flat.
+        """Sharded path of ``name`` (a pure function of the name)."""
+        return _shard_path(self.directory, name)
 
-        The flat fallback keeps legacy (pre-sharding) files readable and
-        preserves the historical miss behaviour: loading an unknown name
-        raises ``OSError`` from the flat path.
-        """
-        located = self._locations.get(name)
-        if located is None:
-            flat = self.directory / f"{name}.json"
-            if flat.is_file():
-                return flat
-            self._refresh_locations()
-            located = self._locations.get(name)
-            if located is None:
-                return flat
-        return located
-
-    # -- shard indexes -------------------------------------------------
-    def _read_shard_index(self, index_path: Path) -> Dict[str, Any]:
-        """Entries of one shard ``_index.json`` (mtime/size cached)."""
-        try:
-            stat = index_path.stat()
-        except OSError:
-            self._shard_index_cache.pop(index_path, None)
-            return {}
-        signature = (stat.st_mtime_ns, stat.st_size)
-        cached = self._shard_index_cache.get(index_path)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        try:
-            entries = json.loads(index_path.read_text()).get("entries", {})
-        except (OSError, json.JSONDecodeError, AttributeError):
-            entries = {}
-        self._shard_index_cache[index_path] = (signature, entries)
-        return entries
-
-    def _refresh_locations(self) -> None:
-        """Rebuild the name -> path map from every shard's index."""
-        root = self.directory / self.SHARD_DIR
-        locations: Dict[str, Path] = {}
-        if root.is_dir():
-            for index_path in sorted(root.glob("*/_index.json")):
-                shard_dir = index_path.parent
-                for name in self._read_shard_index(index_path):
-                    locations[name] = shard_dir / f"{name}.json"
-        self._locations = locations
-
-    def _update_shard_index(
-        self, shard_dir: Path, name: str, envelope: Dict[str, Any], path: Path
-    ) -> None:
-        """Record ``name`` in its shard's ``_index.json`` (atomic rewrite)."""
-        index_path = shard_dir / "_index.json"
-        entries = dict(self._read_shard_index(index_path))
-        stat = path.stat()
-        integrity = envelope.get("integrity")
-        entries[name] = {
-            "kind": envelope["kind"],
-            "spec_hash": spec_hash(envelope["spec"]),
-            "mtime_ns": stat.st_mtime_ns,
-            "size": stat.st_size,
-            # Mirror of the envelope's content digest (None when a damaged
-            # envelope lost it): fsck cross-checks index against file.
-            "sha256": integrity.get("digest") if isinstance(integrity, dict) else None,
-        }
-        tmp = index_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps({"schema_version": SCHEMA_VERSION, "entries": entries}, indent=2)
-        )
-        os.replace(tmp, index_path)
-        stat = index_path.stat()
-        self._shard_index_cache[index_path] = ((stat.st_mtime_ns, stat.st_size), entries)
-
-    # -- store API -----------------------------------------------------
+    # Delegates unchanged, but must stay: perfbench/tracer.py wraps
+    # ``save`` per class and looks it up in this class's own ``__dict__``.
     def save(self, name: str, result: ExperimentResult) -> Path:
-        """Persist ``result`` into its spec-hash shard and index it.
-
-        A legacy flat file of the same name is removed — the sharded copy
-        supersedes it, keeping :meth:`names` duplicate-free.
-        """
-        envelope = self._encode_envelope(result)
-        shard_dir = self.directory / self.SHARD_DIR / self.shard_prefix(envelope["spec"])
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        path = shard_dir / f"{name}.json"
-        _atomic_write_text(
-            path, json.dumps(envelope, indent=2, default=float, allow_nan=False)
-        )
-        flat = self.directory / f"{name}.json"
-        if flat.is_file():
-            flat.unlink()
-            self._index.pop(flat, None)
-        self._update_shard_index(shard_dir, name, envelope, path)
-        self._locations[name] = path
-        return path
-
-    def load(self, name: str) -> ExperimentResult:
-        """Load ``name``, parsing sharded files without retaining them.
-
-        Flat legacy files go through the base class (and its envelope
-        cache); sharded files are parsed on demand and *not* cached, so a
-        full-store aggregation pass needs memory for one result at a time.
-        """
-        path = self.path_for(name)
-        if path.parent == self.directory:
-            return super().load(name)
-        envelope = json.loads(path.read_text())
-        self.files_parsed += 1
-        return self._decode_envelope(path, envelope)
-
-    def names(self) -> List[str]:
-        """All result names: shard-index entries plus legacy flat files.
-
-        The shard contribution costs one (cached) index read per shard —
-        result files themselves are neither stat-ed nor parsed.
-        """
-        self._refresh_locations()
-        return sorted(set(super().names()) | set(self._locations))
-
-    def migrate(self) -> List[str]:
-        """Move every legacy flat result file into the sharded layout.
-
-        Returns the migrated names.  Each file moves with ``os.replace``,
-        bytes unchanged, so a half-completed migration leaves every result
-        in exactly one readable place and a rerun finishes the job.
-        Re-running on an already-sharded store is a no-op (returns ``[]``).
-        """
-        moved = []
-        for name in ResultStore.names(self):
-            flat = self.directory / f"{name}.json"
-            envelope = self._envelope_for(flat)
-            if envelope is None:  # pragma: no cover - raced deletion
-                continue
-            shard_dir = self.directory / self.SHARD_DIR / self.shard_prefix(envelope["spec"])
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            target = shard_dir / f"{name}.json"
-            os.replace(flat, target)
-            self._index.pop(flat, None)
-            self._update_shard_index(shard_dir, name, envelope, target)
-            self._locations[name] = target
-            moved.append(name)
-        return moved
+        return super().save(name, result)
 
 
 def open_store(
@@ -468,12 +346,12 @@ def open_store(
 
     Auto-detects by layout: a ``shards/`` subdirectory means
     :class:`ShardedResultStore`, anything else the flat
-    :class:`ResultStore`.  Pass ``sharded=True``/``False`` to force a
-    flavour (e.g. when creating a new sharded store, or before running
-    :meth:`ShardedResultStore.migrate` on a flat tree).  ``verify`` is
-    forwarded to the store (checksum verification on load, default on).
+    :class:`ResultStore`.  Both read either layout; the flavour decides
+    where new results are written.  Pass ``sharded=True``/``False`` to
+    force a flavour (e.g. when creating a new sharded store).  ``verify``
+    is forwarded to the store (checksum verification on load, default on).
     """
     root = Path(directory)
     if sharded is None:
-        sharded = (root / ShardedResultStore.SHARD_DIR).is_dir()
+        sharded = (root / SHARD_DIR).is_dir()
     return ShardedResultStore(root, verify=verify) if sharded else ResultStore(root, verify=verify)

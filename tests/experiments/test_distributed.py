@@ -12,12 +12,12 @@ from repro.experiments import (
     make_backend,
 )
 from repro.experiments.distributed import (
-    MAX_CHUNK_REQUEUES,
     DistributedBackend,
     _RunState,
     recv_frame,
     send_frame,
 )
+from repro.utils.resilience import ResilienceConfig
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
 
@@ -49,7 +49,7 @@ class TestRunState:
     def test_requeue_bounds(self):
         state = _RunState([["u0"], ["u1"]])
         index, chunk = state.tasks.popleft()
-        for _ in range(MAX_CHUNK_REQUEUES):
+        for _ in range(ResilienceConfig().max_chunk_retries):
             state.requeue(index, chunk)
             assert state.error is None
             assert state.tasks.popleft() == (index, chunk)

@@ -1,4 +1,4 @@
-"""repro fsck: checksum verification, quarantine, index rebuild, shm sweep."""
+"""repro fsck: checksum verification, shard placement, quarantine, shm sweep."""
 
 import json
 import os
@@ -17,7 +17,6 @@ from repro.experiments import (
     sweep_shm,
 )
 from repro.experiments.cli import main
-from repro.experiments.store import SCHEMA_VERSION, _content_digest
 
 
 def _attack_result(flips=1, mechanism="rowpress"):
@@ -117,63 +116,42 @@ class TestStoreFsck:
         assert [issue.problem for issue in report.issues] == ["unreadable"]
         assert fsck_store(tmp_path).clean
 
-    def test_sharded_corruption_rebuilds_the_index(self, tmp_path):
+    def test_sharded_corruption_is_quarantined(self, tmp_path):
         store = ShardedResultStore(tmp_path)
         store.save("a", _result(seed=1))
         store.save("b", _result(seed=2))
         _flip_byte(store.path_for("a"))
         report = fsck_store(tmp_path, quarantine=True)
-        problems = sorted(issue.problem for issue in report.issues)
-        assert "digest-mismatch" in problems
-        assert report.rebuilt_indexes  # the touched shard's index was rewritten
+        assert [issue.problem for issue in report.issues] == ["digest-mismatch"]
         assert fsck_store(tmp_path).clean
         # The surviving result is still loadable; the corrupt one is gone.
         fresh = ShardedResultStore(tmp_path)
         assert fresh.names() == ["b"]
         assert fresh.load("b").spec.seed == 2
 
-    def test_index_entry_without_file_is_stale(self, tmp_path):
+    def test_misplaced_shard_file_is_unreadable(self, tmp_path):
+        # What a store sharded by another rule (spec hash) looks like:
+        # an intact envelope no store will ever look for.
         store = ShardedResultStore(tmp_path)
-        path = store.save("a", _result(seed=1))
-        path.unlink()  # file vanished; the index still names it
+        store.save("good", _result(seed=1))
+        home = store.path_for("stray").parent.name
+        wrong = tmp_path / "shards" / ("00" if home != "00" else "01")
+        ResultStore(wrong).save("stray", _result(seed=2))
         report = fsck_store(tmp_path)
-        assert [issue.problem for issue in report.issues] == ["index-stale"]
-        fsck_store(tmp_path, quarantine=True)
-        assert fsck_store(tmp_path).clean
+        assert [(i.path, i.problem) for i in report.issues] == [
+            (wrong / "stray.json", "unreadable")
+        ]
+        assert "away from its name's path" in report.issues[0].detail
+        report = fsck_store(tmp_path, quarantine=True)
+        assert report.issues[0].quarantined
+        assert (tmp_path / "quarantine" / "stray.json").is_file()
+        after = fsck_store(tmp_path)
+        assert after.clean and after.verified == 1
+        assert store.names() == ["good"]
 
     def test_missing_directory_is_empty_report(self, tmp_path):
         report = fsck_store(tmp_path / "nope")
         assert report.clean and report.scanned == 0
-
-    def test_quarantine_marks_rebuilt_index_issues_repaired(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
-        path = store.save("a", _result(seed=1))
-        path.unlink()  # file vanished; the index still names it
-        report = fsck_store(tmp_path, quarantine=True)
-        stale = [i for i in report.issues if i.problem == "index-stale"]
-        assert stale and all(issue.repaired for issue in stale)
-        assert all(issue.to_dict()["repaired"] for issue in stale)
-        assert fsck_store(tmp_path).clean
-
-    def test_rebuild_survives_envelope_missing_kind_and_spec(self, tmp_path):
-        # A checksummed envelope without kind/spec verifies; the index
-        # rebuild must skip it, not abort on KeyError.
-        store = ShardedResultStore(tmp_path)
-        good = store.save("a", _result(seed=1))
-        shard_dir = good.parent
-        content = {"payload": []}
-        odd = {
-            "schema_version": SCHEMA_VERSION,
-            **content,
-            "integrity": {"algo": "sha256", "digest": _content_digest(content)},
-        }
-        (shard_dir / "odd.json").write_text(json.dumps(odd, indent=2))
-        _flip_byte(good)  # forces the shard's index to be rebuilt
-        report = fsck_store(tmp_path, quarantine=True)
-        assert report.rebuilt_indexes
-        index = json.loads((shard_dir / "_index.json").read_text())
-        assert "odd" not in index["entries"]
-        assert fsck_store(tmp_path).clean
 
 
 class TestQueueFsck:
@@ -317,10 +295,9 @@ class TestFsckCli:
         assert "quarantined digest-mismatch" in capsys.readouterr().out
         assert (store_dir / "quarantine" / "r.json").is_file()
 
-    def test_quarantine_with_stale_index_exits_zero(self, tmp_path, capsys):
-        # Quarantining a sharded file leaves its index entry dangling; the
-        # same run rebuilds the index, so the exit code must not claim
-        # corruption remains and tell the operator to rerun --quarantine.
+    def test_quarantine_of_sharded_file_exits_zero(self, tmp_path, capsys):
+        # Once the damaged shard file is moved aside nothing remains to
+        # repair, so the exit code must not tell the operator to rerun.
         store_dir = tmp_path / "store"
         store = ShardedResultStore(store_dir)
         store.save("a", _result(seed=1))
@@ -333,7 +310,6 @@ class TestFsckCli:
         captured = capsys.readouterr()
         assert rc == 0
         assert "quarantined digest-mismatch" in captured.out
-        assert "repaired index-stale" in captured.out
         assert "corrupt file(s) remain" not in captured.err
 
     def test_shm_flag_sweeps(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
-"""ShardedResultStore: layout, legacy migration, and streaming reports."""
+"""ShardedResultStore: the name-to-path layout, reading both layouts, streaming reports."""
 
+import hashlib
 import json
+
+import pytest
 
 from repro.core.comparison import MechanismOutcome, ModelComparisonResult
 from repro.core.results import AttackEvent, AttackResult
@@ -10,7 +13,6 @@ from repro.experiments import (
     ResultStore,
     ShardedResultStore,
     open_store,
-    spec_hash,
 )
 from repro.experiments.cli import main
 
@@ -49,15 +51,14 @@ def _result(seed=0):
 
 
 class TestShardedLayout:
-    def test_save_places_file_under_spec_hash_shard(self, tmp_path):
+    def test_save_places_file_under_name_hash_shard(self, tmp_path):
         store = ShardedResultStore(tmp_path)
-        result = _result(seed=3)
-        path = store.save("exp", result)
-        prefix = spec_hash(result.spec.to_dict())[:2]
-        assert path == tmp_path / "shards" / prefix / "exp.json"
-        index = json.loads((path.parent / "_index.json").read_text())
-        assert index["entries"]["exp"]["kind"] == "comparison"
-        assert index["entries"]["exp"]["spec_hash"].startswith(prefix)
+        path = store.save("exp", _result(seed=3))
+        prefix = hashlib.sha256(b"exp").hexdigest()[:2]
+        assert path == tmp_path / "shards" / prefix / "exp.json" == store.path_for("exp")
+        assert json.loads(path.read_text())["kind"] == "comparison"
+        # The path is a function of the name: no index is written.
+        assert sorted(tmp_path.rglob("*.json")) == [path]
 
     def test_round_trip_and_contains(self, tmp_path):
         store = ShardedResultStore(tmp_path)
@@ -74,7 +75,7 @@ class TestShardedLayout:
             store.save(f"exp{seed}", _result(seed=seed))
         cold = ShardedResultStore(tmp_path)
         assert cold.names() == [f"exp{seed}" for seed in range(5)]
-        assert cold.files_parsed == 0  # only the shard indexes were read
+        assert cold.files_parsed == 0  # listed by path alone
 
     def test_fresh_instance_sees_saved_results(self, tmp_path):
         ShardedResultStore(tmp_path).save("exp", _result())
@@ -98,47 +99,54 @@ class TestLegacyMigration:
         assert store.names() == ["fresh", "legacy"]
         assert store.load("legacy").payload == _comparison_payload()
 
-    def test_migrate_moves_flat_files_into_shards(self, tmp_path):
+    def test_sharded_save_keeps_the_flat_copy(self, tmp_path):
+        # A daemon's sharded store shares its directory with committed flat
+        # envelopes; saving the same name must not delete the flat one.
         flat = ResultStore(tmp_path)
-        flat.save("a", _result(seed=1))
-        flat.save("b", _result(seed=2))
-        store = ShardedResultStore(tmp_path)
-        store.save("c", _result(seed=3))
-        moved = store.migrate()
-        assert sorted(moved) == ["a", "b"]
-        assert not (tmp_path / "a.json").exists()
-        assert store.names() == ["a", "b", "c"]
-        # Round trip on the mixed-then-migrated tree is lossless.
-        for name in store.names():
-            assert store.load(name).payload == _comparison_payload()
-        # Migration is idempotent.
-        assert store.migrate() == []
+        flat_path = flat.save("exp", _result(seed=1))
+        before = flat_path.read_bytes()
+        sharded = open_store(tmp_path, sharded=True)
+        sharded.save("exp", _result(seed=9))
+        assert flat_path.read_bytes() == before
+        assert sharded.load("exp").spec.seed == 9
+        assert ResultStore(tmp_path).load("exp").spec.seed == 1
+        assert sharded.names() == flat.names() == ["exp"]
 
-    def test_saving_existing_name_supersedes_flat_copy(self, tmp_path):
-        ResultStore(tmp_path).save("exp", _result(seed=1))
-        store = ShardedResultStore(tmp_path)
-        store.save("exp", _result(seed=9))
-        assert not (tmp_path / "exp.json").exists()
-        assert store.names() == ["exp"]
-        assert store.load("exp").spec.seed == 9
 
-    def test_migrate_store_cli(self, tmp_path, capsys):
-        flat = ResultStore(tmp_path)
-        flat.save("a", _result(seed=1))
-        assert main(["migrate-store", "--store", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 1 result file(s)" in out
-        assert "verified 1 checksummed result file(s)" in out
-        # open_store now auto-detects the sharded layout.
-        assert isinstance(open_store(tmp_path), ShardedResultStore)
-        assert open_store(tmp_path).load("a").spec.seed == 1
+class TestOneLayoutFunction:
+    """Both store classes read both layouts; only ``path_for`` differs."""
 
-    def test_shard_index_records_content_digest(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
-        path = store.save("exp", _result(seed=3))
-        index = json.loads((path.parent / "_index.json").read_text())
-        envelope = json.loads(path.read_text())
-        assert index["entries"]["exp"]["sha256"] == envelope["integrity"]["digest"]
+    def _shard_tree(self, root):
+        ShardedResultStore(root).save("sharded", _result(seed=2))
+        # An envelope in the wrong shard directory: no store looks there.
+        home = ShardedResultStore(root).path_for("stray")
+        wrong = "00" if home.parent.name != "00" else "01"
+        stray = ResultStore(root / "shards" / wrong).save("stray", _result(seed=3))
+        (stray.parent / "sharded.json.tmp").write_text("{")  # torn write
+
+    def _mixed_tree(self, root):
+        self._shard_tree(root)
+        ResultStore(root).save("flat", _result(seed=1))
+        (root / "fig7_series.json").write_text(json.dumps({"series": [1, 2]}))
+
+    @pytest.mark.parametrize("flavour", [ResultStore, ShardedResultStore])
+    def test_names_lists_exactly_what_load_returns(self, tmp_path, flavour):
+        self._mixed_tree(tmp_path)
+        store = flavour(tmp_path)
+        assert store.names() == ["flat", "sharded"]
+        assert store.load("flat").spec.seed == 1
+        assert store.load("sharded").spec.seed == 2
+        assert "flat" in store and "sharded" in store and "stray" not in store
+        with pytest.raises(OSError):
+            store.load("stray")
+        with pytest.raises(ValueError):
+            store.load("fig7_series")
+
+    def test_cold_listing_parses_no_shard_file(self, tmp_path):
+        self._shard_tree(tmp_path)
+        cold = ShardedResultStore(tmp_path)
+        assert cold.names() == ["sharded"]
+        assert cold.files_parsed == 0
 
 
 class TestOpenStore:
@@ -188,7 +196,7 @@ class TestStreamingReport:
         reader = ShardedResultStore(tmp_path)
         names = reader.names()
         assert len(names) == self.NUM_FILES
-        assert reader.files_parsed == 0  # listing cost: shard indexes only
+        assert reader.files_parsed == 0  # listing parses no shard file
         seen = 0
         for _, result in reader.iter_results():
             seen += 1

@@ -134,12 +134,14 @@ def main() -> int:
         except IntegrityError:
             check(True, "corrupted envelope fails its load-time digest")
         report = fsck_store(root / "s2", quarantine=True)
-        mismatches = [i for i in report.issues if i.problem == "digest-mismatch"]
         check(
-            len(mismatches) == 1
-            and mismatches[0].quarantined
-            and report.rebuilt_indexes,
-            "fsck quarantines the damaged envelope and rebuilds its shard index",
+            [(i.problem, i.quarantined) for i in report.issues]
+            == [("digest-mismatch", True)],
+            "fsck quarantines exactly the damaged envelope",
+        )
+        check(
+            "exp" not in service.store.names(),
+            "the quarantined envelope is no longer listed",
         )
         check(fsck_store(root / "s2").clean, "store is clean after quarantine")
         fresh = ResultStore(root / "s2")
